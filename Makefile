@@ -42,9 +42,11 @@ resilience:
 	$(GO) test ./internal/gasnet/ -run 'Reliable|Ack|Attempts|Shutdown|Probe|InboundFilter'
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
 
-## bench: engine microbenchmarks (ns/op and allocs/op of the sim primitives)
+## bench: layer microbenchmarks (ns/op and allocs/op of the sim primitives
+## and of the coherence cache's overlap sweep at 256 and 4096 lines)
 bench:
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkEngine -benchmem
+	$(GO) test ./internal/coherence/ -run xxx -bench BenchmarkCacheOverlappingLines -benchmem
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

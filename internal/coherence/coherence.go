@@ -22,18 +22,17 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
-	"github.com/bsc-repro/ompss/internal/detmap"
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // locLess orders locations by node, then device — the deterministic
-// visit order for every holder-set iteration (detmap.KeysFunc).
+// visit order of every holder set (holderSet keeps this order).
 func locLess(a, b memspace.Location) bool {
 	if a.Node != b.Node {
 		return a.Node < b.Node
@@ -41,13 +40,13 @@ func locLess(a, b memspace.Location) bool {
 	return a.Dev < b.Dev
 }
 
-// regionLess orders regions by address, then size — the deterministic
-// visit order for Region-keyed maps.
-func regionLess(a, b memspace.Region) bool {
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
+// regionCmp orders regions by address, then size — the order of a
+// cache's line index.
+func regionCmp(a, b memspace.Region) int {
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
 	}
-	return a.Size < b.Size
+	return cmp.Compare(a.Size, b.Size)
 }
 
 // Policy is a cache write policy.
@@ -84,9 +83,25 @@ type Directory struct {
 	home    memspace.Location
 	homeSet bool
 
-	// covbuf is the reusable fragment buffer of Produced (one runtime
-	// image drives its directory serially, so a single buffer suffices).
-	covbuf []*memspace.Frag[dirData]
+	// buf is the reusable fragment buffer of every query and update that
+	// walks fragments (one runtime image drives its directory serially, so
+	// a single buffer suffices). A walk must not hold the buffer across a
+	// nested directory call: the nested call refills it.
+	buf []*memspace.Frag[dirData]
+}
+
+// overlapping returns the fragments overlapping r in address order, in
+// the directory's buffer (valid until the next directory call).
+func (d *Directory) overlapping(r memspace.Region) []*memspace.Frag[dirData] {
+	d.buf = d.frags.OverlappingInto(r, d.buf)
+	return d.buf
+}
+
+// cover is overlapping after splitting fragments at r's bounds and filling
+// gaps, so the result tiles r exactly (FragMap.Cover).
+func (d *Directory) cover(r memspace.Region) []*memspace.Frag[dirData] {
+	d.buf = d.frags.CoverInto(r, d.buf)
+	return d.buf
 }
 
 // holderSet is the holder set of one fragment: a slice kept sorted in
@@ -169,7 +184,7 @@ func (d *Directory) RecordProducer(r memspace.Region, t *task.Task) {
 	if !d.homeSet {
 		return
 	}
-	for _, en := range d.frags.Cover(r) {
+	for _, en := range d.cover(r) {
 		en.V.producers = append(en.V.producers, t)
 	}
 }
@@ -180,7 +195,7 @@ func (d *Directory) RecordProducer(r memspace.Region, t *task.Task) {
 func (d *Directory) Producers(r memspace.Region) []*task.Task {
 	var out []*task.Task
 	seen := make(map[task.ID]bool)
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		for _, t := range en.V.producers {
 			if !seen[t.ID] {
 				seen[t.ID] = true
@@ -194,7 +209,7 @@ func (d *Directory) Producers(r memspace.Region) []*task.Task {
 // Init declares that loc holds the initial version of r (e.g. the master
 // host after serial initialization).
 func (d *Directory) Init(r memspace.Region, loc memspace.Location) {
-	for _, en := range d.frags.Cover(r) {
+	for _, en := range d.cover(r) {
 		en.V.holders.add(loc)
 		if d.homeSet && loc == d.home {
 			en.V.producers = nil
@@ -205,8 +220,7 @@ func (d *Directory) Init(r memspace.Region, loc memspace.Location) {
 // Produced registers a new version of r produced at loc: loc becomes the
 // sole holder of every fragment of r and their versions advance.
 func (d *Directory) Produced(r memspace.Region, loc memspace.Location) {
-	d.covbuf = d.frags.CoverInto(r, d.covbuf)
-	for _, en := range d.covbuf {
+	for _, en := range d.cover(r) {
 		en.V.version++
 		en.V.holders.only(loc)
 		if d.homeSet && loc == d.home {
@@ -233,7 +247,7 @@ func (d *Directory) AddHolderPartial(r memspace.Region, loc memspace.Location) b
 	d.frags.SplitAt(r.Addr)
 	d.frags.SplitAt(r.End())
 	known := false
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if len(en.V.holders) == 0 {
 			continue
 		}
@@ -275,7 +289,7 @@ func (d *Directory) Rehome(r memspace.Region) {
 	if !d.homeSet {
 		panic("coherence: Rehome without TrackProducers")
 	}
-	for _, en := range d.frags.Cover(r) {
+	for _, en := range d.cover(r) {
 		en.V.holders.only(d.home)
 		en.V.producers = nil
 	}
@@ -287,7 +301,7 @@ func (d *Directory) Rehome(r memspace.Region) {
 func (d *Directory) DropHolder(r memspace.Region, loc memspace.Location) {
 	d.frags.SplitAt(r.Addr)
 	d.frags.SplitAt(r.End())
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if !en.V.holders.has(loc) {
 			continue
 		}
@@ -302,7 +316,7 @@ func (d *Directory) DropHolder(r memspace.Region, loc memspace.Location) {
 // of r.
 func (d *Directory) IsHolder(r memspace.Region, loc memspace.Location) bool {
 	pos := r.Addr
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if en.R.Addr > pos || !en.V.holders.has(loc) {
 			return false
 		}
@@ -314,7 +328,7 @@ func (d *Directory) IsHolder(r memspace.Region, loc memspace.Location) bool {
 // Known reports whether the directory has residence information for any
 // byte of r.
 func (d *Directory) Known(r memspace.Region) bool {
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if len(en.V.holders) > 0 {
 			return true
 		}
@@ -328,7 +342,7 @@ func (d *Directory) Known(r memspace.Region) bool {
 // either nothing or r itself back. Read-only: no fragments split.
 func (d *Directory) Missing(r memspace.Region, loc memspace.Location) []memspace.Region {
 	var out []memspace.Region
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if len(en.V.holders) == 0 || en.V.holders.has(loc) {
 			continue
 		}
@@ -342,7 +356,7 @@ func (d *Directory) Missing(r memspace.Region, loc memspace.Location) []memspace
 // Read-only: no fragments split.
 func (d *Directory) Held(r memspace.Region, loc memspace.Location) []memspace.Region {
 	var out []memspace.Region
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if en.V.holders.has(loc) {
 			out = append(out, en.R.Intersect(r))
 		}
@@ -354,7 +368,7 @@ func (d *Directory) Held(r memspace.Region, loc memspace.Location) []memspace.Re
 // affinity scoring.
 func (d *Directory) HeldBytes(r memspace.Region, loc memspace.Location) uint64 {
 	var n uint64
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if en.V.holders.has(loc) {
 			n += en.R.Intersect(r).Size
 		}
@@ -366,7 +380,7 @@ func (d *Directory) HeldBytes(r memspace.Region, loc memspace.Location) uint64 {
 // (0 if never produced).
 func (d *Directory) Version(r memspace.Region) int {
 	v := 0
-	for _, en := range d.frags.Overlapping(r) {
+	for _, en := range d.overlapping(r) {
 		if en.V.version > v {
 			v = en.V.version
 		}
@@ -378,12 +392,14 @@ func (d *Directory) Version(r memspace.Region) int {
 // of r, in a deterministic order (node, then device). Queried per fragment
 // by the transfer planner, where it is exact.
 func (d *Directory) Holders(r memspace.Region) []memspace.Location {
-	ens := d.frags.Overlapping(r)
+	ens := d.overlapping(r)
 	if len(ens) == 0 {
 		return nil
 	}
+	// Take the candidate set out of the buffer first: IsHolder refills it.
+	cand := ens[0].V.holders
 	var out []memspace.Location
-	for _, l := range ens[0].V.holders {
+	for _, l := range cand {
 		if d.IsHolder(r, l) {
 			out = append(out, l)
 		}
@@ -397,7 +413,7 @@ func (d *Directory) Holders(r memspace.Region) []memspace.Location {
 // (internal/dmgr) uses it to reassemble the exact Holders semantics across
 // shard spans.
 func (d *Directory) CandidateHolders(r memspace.Region) ([]memspace.Location, bool) {
-	ens := d.frags.Overlapping(r)
+	ens := d.overlapping(r)
 	if len(ens) == 0 {
 		return nil, false
 	}
@@ -430,6 +446,18 @@ type Line struct {
 // Cache is the software cache of one device address space. Lines are
 // keyed by their full region, so overlapping lines (e.g. halo regions) can
 // coexist; residence queries are exact-region.
+//
+// Beside the exact-region map (Lookup, Contains, Pin and the other
+// single-line calls) the cache keeps an address-ordered index of its
+// lines and the size of the largest one. A line overlapping r starts
+// after r.Addr - maxSize and before r.End(), so OverlappingLines
+// binary-searches to the first and stops at the second: O(log n + k) for
+// k lines in that window, with no per-call sort. Insert and Remove keep
+// the index sorted (a binary search plus one slice move); maxSize stays
+// exact because Remove rescans the index when a line of that size leaves.
+// MakeSpace still sorts its unpinned candidates by LRU stamp: stamps are
+// unique, so the victim order is fixed, and that sort runs only when the
+// cache is full.
 type Cache struct {
 	loc      memspace.Location
 	policy   Policy
@@ -437,6 +465,11 @@ type Cache struct {
 	used     uint64
 	lines    map[memspace.Region]*Line
 	clock    int64
+
+	// index holds the resident lines in regionCmp order; maxSize is the
+	// largest resident line size.
+	index   []*Line
+	maxSize uint64
 
 	// Stats
 	Hits      int
@@ -502,10 +535,20 @@ func (c *Cache) Contains(r memspace.Region) bool {
 // OverlappingLines returns the resident lines overlapping r, ordered by
 // region. Used for overlap invalidation sweeps.
 func (c *Cache) OverlappingLines(r memspace.Region) []*Line {
+	var lo uint64
+	if r.Addr > c.maxSize {
+		lo = r.Addr - c.maxSize
+	}
+	i, _ := slices.BinarySearchFunc(c.index, lo, func(l *Line, addr uint64) int {
+		return cmp.Compare(l.Region.Addr, addr)
+	})
 	var out []*Line
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		if k.Overlaps(r) {
-			out = append(out, c.lines[k])
+	for _, l := range c.index[i:] {
+		if l.Region.Addr >= r.End() {
+			break
+		}
+		if l.Region.Overlaps(r) {
+			out = append(out, l)
 		}
 	}
 	return out
@@ -525,12 +568,12 @@ func (c *Cache) MakeSpace(size uint64) (victims []*Line, ok bool) {
 	}
 	// Collect unpinned lines oldest-first.
 	var cand []*Line
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		if l := c.lines[k]; l.pins == 0 {
+	for _, l := range c.index {
+		if l.pins == 0 {
 			cand = append(cand, l)
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].lru < cand[j].lru })
+	slices.SortFunc(cand, func(a, b *Line) int { return cmp.Compare(a.lru, b.lru) })
 	need := c.used + size - c.capacity
 	var freed uint64
 	for _, l := range cand {
@@ -558,8 +601,19 @@ func (c *Cache) Insert(r memspace.Region, dirty bool) *Line {
 	c.clock++
 	l := &Line{Region: r, Dirty: dirty, lru: c.clock}
 	c.lines[r] = l
+	c.index = slices.Insert(c.index, c.find(r), l)
+	c.maxSize = max(c.maxSize, r.Size)
 	c.used += r.Size
 	return l
+}
+
+// find binary-searches the index for r: its position if resident, else
+// the position it would be inserted at.
+func (c *Cache) find(r memspace.Region) int {
+	i, _ := slices.BinarySearchFunc(c.index, r, func(l *Line, r memspace.Region) int {
+		return regionCmp(l.Region, r)
+	})
+	return i
 }
 
 // Remove evicts r's line. Panics if pinned or absent.
@@ -572,6 +626,14 @@ func (c *Cache) Remove(r memspace.Region) {
 		panic(fmt.Sprintf("coherence: remove of pinned %v at %v", r, c.loc))
 	}
 	delete(c.lines, r)
+	i := c.find(r)
+	c.index = slices.Delete(c.index, i, i+1)
+	if r.Size == c.maxSize {
+		c.maxSize = 0
+		for _, l := range c.index {
+			c.maxSize = max(c.maxSize, l.Region.Size)
+		}
+	}
 	c.used -= r.Size
 	c.Evictions++
 	c.ins.Evictions.Inc()
@@ -616,8 +678,8 @@ func (c *Cache) Clean(r memspace.Region) {
 // DirtyLines returns all dirty lines ordered by region (for flush).
 func (c *Cache) DirtyLines() []*Line {
 	var out []*Line
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		if l := c.lines[k]; l.Dirty {
+	for _, l := range c.index {
+		if l.Dirty {
 			out = append(out, l)
 		}
 	}
@@ -626,9 +688,5 @@ func (c *Cache) DirtyLines() []*Line {
 
 // Lines returns all resident lines ordered by region.
 func (c *Cache) Lines() []*Line {
-	out := make([]*Line, 0, len(c.lines))
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		out = append(out, c.lines[k])
-	}
-	return out
+	return append(make([]*Line, 0, len(c.index)), c.index...)
 }

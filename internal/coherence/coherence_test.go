@@ -1,6 +1,10 @@
 package coherence
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,41 +283,200 @@ func TestCacheLinesSorted(t *testing.T) {
 	}
 }
 
-// Property: under any sequence of insert/remove/lookup with MakeSpace-led
-// evictions, used bytes == sum of resident line sizes and never exceeds
-// capacity.
+// refLines is the brute-force reference for the cache's line index: every
+// resident line, scanned from the model and sorted by region.
+func refLines(model map[memspace.Region]*Line) []*Line {
+	var out []*Line
+	for _, l := range model {
+		out = append(out, l)
+	}
+	slices.SortFunc(out, func(a, b *Line) int { return regionCmp(a.Region, b.Region) })
+	return out
+}
+
+// refMakeSpace is MakeSpace by full scan: unpinned lines oldest first
+// until size more bytes fit.
+func refMakeSpace(model map[memspace.Region]*Line, used, capacity, size uint64) ([]*Line, bool) {
+	if size > capacity {
+		return nil, false
+	}
+	if used+size <= capacity {
+		return nil, true
+	}
+	var cand []*Line
+	for _, l := range refLines(model) {
+		if l.pins == 0 {
+			cand = append(cand, l)
+		}
+	}
+	slices.SortFunc(cand, func(a, b *Line) int { return cmp.Compare(a.lru, b.lru) })
+	var victims []*Line
+	need, freed := used+size-capacity, uint64(0)
+	for _, l := range cand {
+		if freed >= need {
+			break
+		}
+		victims = append(victims, l)
+		freed += l.Region.Size
+	}
+	if freed < need {
+		return nil, false
+	}
+	return victims, true
+}
+
+// Property: under any sequence of inserts, lookups, removes (the largest
+// line among them), pins and dirty flips over overlapping lines of mixed
+// sizes, the line index answers OverlappingLines, DirtyLines, Lines and
+// MakeSpace exactly as a full scan of the resident lines does, used bytes
+// equal the sum of resident sizes, and the tracked largest size is exact.
 func TestQuickCacheInvariant(t *testing.T) {
-	f := func(ops []uint16) bool {
-		c := NewCache(gpu0, WriteBack, 1000)
-		for _, op := range ops {
-			slot := uint64(op % 16)
-			addr := slot*0x100 + 0x1000
-			size := (slot%7 + 1) * 50 // size is a function of addr: no partial overlap
-			r := reg(addr, size)
-			if c.Contains(r) {
-				if op%3 == 0 {
-					c.Remove(r)
-				} else {
+	f := func(seed int64, ops []uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCache(gpu0, WriteBack, 1500)
+		model := make(map[memspace.Region]*Line)
+		remove := func(r memspace.Region) {
+			c.Remove(r)
+			delete(model, r)
+		}
+		for step, op := range ops {
+			// Addresses and sizes vary independently: lines overlap, share
+			// start addresses and differ in size.
+			r := reg(0x1000+uint64(op%32)*0x20, 0x10<<((op>>5)%6))
+			l, resident := model[r]
+			switch (op >> 8) % 8 {
+			case 0, 1, 2, 3:
+				switch {
+				case resident && op>>11&1 == 0 && l.pins == 0:
+					remove(r)
+				case resident:
 					c.Lookup(r)
+				default:
+					victims, ok := c.MakeSpace(r.Size)
+					if !ok {
+						break
+					}
+					for _, v := range victims {
+						remove(v.Region)
+					}
+					model[r] = c.Insert(r, op>>12&1 == 1)
 				}
-				continue
+			case 4: // remove a largest unpinned line
+				var big *Line
+				for _, x := range refLines(model) {
+					if x.pins == 0 && (big == nil || x.Region.Size > big.Region.Size) {
+						big = x
+					}
+				}
+				if big != nil {
+					remove(big.Region)
+				}
+			case 5:
+				switch {
+				case resident && l.pins > 0:
+					c.Unpin(r)
+				case resident:
+					c.Pin(r)
+				}
+			case 6:
+				switch {
+				case resident && l.Dirty:
+					c.Clean(r)
+				case resident:
+					c.MarkDirty(r)
+				}
+			case 7:
+				c.Lookup(r)
 			}
-			victims, ok := c.MakeSpace(size)
-			if !ok {
-				continue
+
+			want := refLines(model)
+			if !slices.Equal(c.Lines(), want) {
+				t.Logf("step %d: Lines = %v, want %v", step, c.Lines(), want)
+				return false
 			}
-			for _, v := range victims {
-				c.Remove(v.Region)
+			var sum, maxSize uint64
+			var dirty []*Line
+			for _, x := range want {
+				sum += x.Region.Size
+				maxSize = max(maxSize, x.Region.Size)
+				if x.Dirty {
+					dirty = append(dirty, x)
+				}
 			}
-			c.Insert(r, op%2 == 0)
+			if sum != c.Used() || c.Used() > c.Capacity() || c.Len() != len(want) || c.maxSize != maxSize {
+				t.Logf("step %d: used %d (sum %d), len %d (want %d), maxSize %d (want %d)",
+					step, c.Used(), sum, c.Len(), len(want), c.maxSize, maxSize)
+				return false
+			}
+			if !slices.Equal(c.DirtyLines(), dirty) {
+				t.Logf("step %d: DirtyLines = %v, want %v", step, c.DirtyLines(), dirty)
+				return false
+			}
+			for range 4 {
+				q := reg(0xf00+uint64(rng.Intn(0x700)), uint64(rng.Intn(0x300)))
+				var over []*Line
+				for _, x := range want {
+					if x.Region.Overlaps(q) {
+						over = append(over, x)
+					}
+				}
+				if got := c.OverlappingLines(q); !slices.Equal(got, over) {
+					t.Logf("step %d: OverlappingLines(%v) = %v, want %v", step, q, got, over)
+					return false
+				}
+			}
+			size := uint64(rng.Intn(1600))
+			got, gotOK := c.MakeSpace(size)
+			ref, refOK := refMakeSpace(model, c.Used(), c.Capacity(), size)
+			if gotOK != refOK || !slices.Equal(got, ref) {
+				t.Logf("step %d: MakeSpace(%d) = %v %v, want %v %v", step, size, got, gotOK, ref, refOK)
+				return false
+			}
 		}
-		var sum uint64
-		for _, l := range c.Lines() {
-			sum += l.Region.Size
-		}
-		return sum == c.Used() && c.Used() <= c.Capacity()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The directory's read queries walk fragments through one buffer the
+// directory owns, so on a warmed directory they allocate nothing.
+func TestDirectoryReadsDoNotAllocate(t *testing.T) {
+	d := NewDirectory()
+	for i := uint64(0); i < 64; i++ {
+		d.Init(reg(0x1000+i*0x100, 0x100), host)
+	}
+	d.Produced(reg(0x1080, 0x200), gpu0) // splits two fragments
+	d.AddHolder(reg(0x1100, 0x100), gpu1)
+	q := reg(0x1040, 0x300) // spans five fragments
+	reads := func() {
+		d.IsHolder(q, host)
+		d.Known(q)
+		d.HeldBytes(q, gpu0)
+		d.Version(q)
+	}
+	reads() // grows the buffer
+	if n := testing.AllocsPerRun(100, reads); n != 0 {
+		t.Fatalf("IsHolder+Known+HeldBytes+Version allocate %v times per run, want 0", n)
+	}
+}
+
+// BenchmarkCacheOverlappingLines times one overlap sweep query touching one
+// line of a cache with n resident lines (the per-version sweep of
+// nodeRT.produced). The cost should barely grow with n.
+func BenchmarkCacheOverlappingLines(b *testing.B) {
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("lines=%d", n), func(b *testing.B) {
+			c := NewCache(gpu0, WriteBack, 1<<40)
+			for i := 0; i < n; i++ {
+				c.Insert(reg(uint64(i)*4096, 4096), false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.OverlappingLines(reg(uint64(i%n)*4096+64, 64))
+			}
+		})
 	}
 }

@@ -187,9 +187,6 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 				ft.inflightTask[t.ID] = t
 			}
 			progress = true
-			if debugPlacement {
-				fmt.Printf("[comm] %s -> node%d (outstanding %d)\n", t.Name, k, cl.outstanding[k])
-			}
 			if k == 0 {
 				m.enqueueLocal(t, func(cp *sim.Proc, done *task.Task, place int) {
 					cl.outstanding[0]--

@@ -22,9 +22,6 @@ import (
 // (graph insertion, scheduling, coherence lookups).
 const taskOverhead = 4 * time.Microsecond
 
-// debugPlacement prints task placement decisions (tests only).
-var debugPlacement = false
-
 // nodeRT is one runtime image: the master (node 0) or a slave. Each image
 // owns its host store, GPUs with software caches, a local directory, a
 // scheduler and its worker processes — the hierarchical structure of
@@ -412,9 +409,6 @@ func (n *nodeRT) publishGPUTask(p *sim.Proc, g int, t *task.Task) {
 			}
 		}
 	}
-	if debugPlacement {
-		fmt.Printf("[%v] %s ran on node%d gpu%d\n", p.Now(), t.Name, n.id, g)
-	}
 }
 
 // dedupRegions returns the distinct regions of a copy list.
@@ -444,6 +438,9 @@ func (n *nodeRT) jitter(id task.ID, d time.Duration) time.Duration {
 // overlappingRedRegions returns the pending reduction regions overlapping
 // r, in deterministic region order.
 func (n *nodeRT) overlappingRedRegions(r memspace.Region) []memspace.Region {
+	if len(n.redPartials) == 0 {
+		return nil
+	}
 	var out []memspace.Region
 	for _, k := range detmap.KeysFunc(n.redPartials, regionLess) {
 		if k.Overlaps(r) {
@@ -817,6 +814,12 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 		if !n.isMaster() {
 			panic(fmt.Sprintf("core: node %d asked to fetch %v it does not hold", n.id, frag))
 		}
+		// missing was computed before the pulls above blocked; another
+		// fetch may have brought this fragment home meanwhile, and the
+		// master must not pull from itself.
+		if n.dir.IsHolder(frag, host) {
+			continue
+		}
 		// Remote holder: pull across the network (cluster layer).
 		if !n.rt.pullToMaster(p, frag, holders[0].Node) {
 			return false
@@ -824,9 +827,6 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 	}
 	return true
 }
-
-// DebugPlacement toggles placement tracing (development only).
-func DebugPlacement(on bool) { debugPlacement = on }
 
 // stageReduction prepares GPU g's private accumulator for region r: a
 // zero-initialized cache line on first use (the reduction identity), the

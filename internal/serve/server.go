@@ -316,6 +316,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, coalesced := s.inflight[hash]
 	if !coalesced {
 		j = s.jobs.create(req, hash)
+		// Record "queued" before a worker can see the job: once it is in
+		// the queue, "start" may be appended at any moment.
+		j.append(Event{Kind: "queued", ElapsedNS: s.elapsedNS()})
 		select {
 		case s.queue <- j:
 			s.inflight[hash] = j
@@ -332,8 +335,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if coalesced {
 		s.st.coalesced.Add(1)
-	} else {
-		j.append(Event{Kind: "queued", ElapsedNS: s.elapsedNS()})
 	}
 
 	if async {
