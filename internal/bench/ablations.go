@@ -19,7 +19,7 @@ func Ablations(o Options) ([]Row, error) {
 	var pts []point
 	multi := func(config string, mutate func(*ompss.Config)) {
 		pts = append(pts, point{config: config, run: func() (float64, string, error) {
-			cfg := multiGPUConfig(o, 4, "wb", defaultSched())
+			cfg := multiGPUConfig(4, "wb", defaultSched())
 			mutate(&cfg)
 			res, err := apps.MatmulOmpSs(cfg, p)
 			return res.Metric, "GFLOPS", err

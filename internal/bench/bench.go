@@ -74,12 +74,6 @@ type Options struct {
 	// runGrid (table1, the derived resilience rows) emit no events.
 	OnPoint func(PointDone)
 
-	// Lookahead, when > 0, sets Config.Lookahead (the per-place
-	// ready-ahead window, PR 6) on every simulated grid point of the fig
-	// and heat experiments. Zero keeps the paper default (off), which is
-	// what the bit-identical fig5-13 guarantee is pinned against.
-	Lookahead int
-
 	// Scheduler, when non-empty, overrides the scheduler policy of the
 	// cluster experiments (fig9-13, heat), whose grids pin it to
 	// Affinity. The multi-GPU figures sweep the scheduler as part of
@@ -197,19 +191,15 @@ func schedLabel(p sched.Policy) string {
 
 // multiGPUConfig is the baseline configuration of the multi-GPU node runs.
 // The scheduler is part of these experiments' grids, so Options.Scheduler
-// does not apply here; Lookahead does.
-func multiGPUConfig(o Options, gpus int, policy coherence.Policy, scheduler sched.Policy) ompss.Config {
-	cfg := ompss.Config{
+// does not apply here.
+func multiGPUConfig(gpus int, policy coherence.Policy, scheduler sched.Policy) ompss.Config {
+	return ompss.Config{
 		Cluster:          ompss.MultiGPUSystem(gpus),
 		Scheduler:        scheduler,
 		CachePolicy:      policy,
 		NonBlockingCache: true,
 		Steal:            true,
 	}
-	if o.Lookahead > 0 {
-		cfg.Lookahead = o.Lookahead
-	}
-	return cfg
 }
 
 // point is one independent grid point of an experiment: one simulated run
@@ -292,8 +282,8 @@ func runGrid(exp string, o Options, pts []point) ([]Row, error) {
 // clusterConfig is the baseline configuration of the GPU-cluster runs,
 // using the best multi-GPU parameters (write-back cache, locality-aware
 // scheduler), as Section IV.B.2 does. Options may override the scheduler
-// and lookahead window and arm a fault plan; zero Options reproduce the
-// paper configuration exactly.
+// and arm a fault plan; zero Options reproduce the paper configuration
+// exactly.
 func clusterConfig(o Options, nodes int) ompss.Config {
 	cfg := ompss.Config{
 		Cluster:          ompss.GPUCluster(nodes),
@@ -304,9 +294,6 @@ func clusterConfig(o Options, nodes int) ompss.Config {
 	}
 	if o.Scheduler != "" {
 		cfg.Scheduler = o.Scheduler
-	}
-	if o.Lookahead > 0 {
-		cfg.Lookahead = o.Lookahead
 	}
 	if o.Faults != nil {
 		plan := *o.Faults

@@ -25,7 +25,7 @@ func Fig5(o Options) ([]Row, error) {
 	for _, gpus := range gpuCounts {
 		for _, pol := range cachePolicies {
 			for _, sch := range schedulers {
-				cfg := multiGPUConfig(o, gpus, pol, sch)
+				cfg := multiGPUConfig(gpus, pol, sch)
 				pts = append(pts, point{
 					config: fmt.Sprintf("%dgpu %s %s", gpus, pol, schedLabel(sch)),
 					run: func() (float64, string, error) {
@@ -57,7 +57,7 @@ func Fig6(o Options) ([]Row, error) {
 		p := fig6Params(o, gpus)
 		for _, pol := range cachePolicies {
 			for _, sch := range schedulers {
-				cfg := multiGPUConfig(o, gpus, pol, sch)
+				cfg := multiGPUConfig(gpus, pol, sch)
 				pts = append(pts, point{
 					config: fmt.Sprintf("%dgpu %s %s", gpus, pol, schedLabel(sch)),
 					run: func() (float64, string, error) {
@@ -91,7 +91,7 @@ func Fig7(o Options) ([]Row, error) {
 			}
 			p := fig7Params(o, flush)
 			for _, pol := range cachePolicies {
-				cfg := multiGPUConfig(o, gpus, pol, defaultSched())
+				cfg := multiGPUConfig(gpus, pol, defaultSched())
 				pts = append(pts, point{
 					config: fmt.Sprintf("%dgpu %s %s", gpus, variant, pol),
 					run: func() (float64, string, error) {
@@ -127,7 +127,7 @@ func Fig8(o Options) ([]Row, error) {
 	for _, gpus := range gpuCounts {
 		p := fig8Params(o, gpus)
 		for _, pol := range cachePolicies {
-			cfg := multiGPUConfig(o, gpus, pol, defaultSched())
+			cfg := multiGPUConfig(gpus, pol, defaultSched())
 			// Cap the cache between one task's working set (positions,
 			// velocity block, output block — it must fit) and the full
 			// per-GPU working set, so caching policies must evict between

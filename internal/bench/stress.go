@@ -64,21 +64,13 @@ func stressLayer(width, d int, overlapEvery int, base task.ID) []*task.Task {
 	return ts
 }
 
-// stressRun submits width*depth tasks and drains them through the
-// scheduler and directory, returning tasks/sec of wall-clock. batch
-// selects depgraph.SubmitBatch per layer over per-task Submit; lookahead
-// wraps the scheduler with a ready-ahead window of that size.
-func stressRun(width, depth, overlapEvery int, batch bool, lookahead int) (float64, error) {
+// stressRun submits width*depth tasks, one depgraph.SubmitBatch per
+// layer, and drains them through the scheduler and directory, returning
+// tasks/sec of wall-clock.
+func stressRun(width, depth, overlapEvery int) (float64, error) {
 	reg := metrics.New()
-	var sc sched.Scheduler
-	sc = sched.NewWithHooks(sched.Dependencies, stressPlaces, nil, nil, false, nil,
+	sc := sched.NewWithHooks(sched.Dependencies, stressPlaces, nil, nil, false, nil,
 		sched.Hooks{Queued: reg.Gauge("sched_queue_depth"), Steals: reg.Counter("sched_steals_total")})
-	if lookahead > 1 {
-		sc = sched.Lookahead(sc, lookahead, sched.LookaheadHooks{
-			Depth:   reg.Gauge("sched_lookahead_depth"),
-			Refills: reg.Counter("sched_lookahead_refills_total"),
-		})
-	}
 	g := depgraph.New(func(t *task.Task) { sc.Submit(t, -1) })
 	dir := coherence.NewDirectory()
 
@@ -88,16 +80,8 @@ func stressRun(width, depth, overlapEvery int, batch bool, lookahead int) (float
 	for d := 0; d < depth; d++ {
 		layer := stressLayer(width, d, overlapEvery, base)
 		base += task.ID(width)
-		if batch {
-			if _, err := g.SubmitBatch(layer); err != nil {
-				return 0, err
-			}
-		} else {
-			for _, t := range layer {
-				if err := g.Submit(t); err != nil {
-					return 0, err
-				}
-			}
+		if _, err := g.SubmitBatch(layer); err != nil {
+			return 0, err
 		}
 	}
 	// Drain: pop round-robin over the places, register each finished
@@ -143,27 +127,17 @@ func Stress(o Options) ([]Row, error) {
 			depth = 10
 		}
 	}
-	overlapEvery := o.StressOverlap
-	pts := []point{}
-	add := func(batch bool, lookahead int, label string) {
-		pts = append(pts, point{
-			config: fmt.Sprintf("w=%d d=%d ov=%d %s", width, depth, overlapEvery, label),
-			run: func() (float64, string, error) {
-				v, err := stressRun(width, depth, overlapEvery, batch, lookahead)
-				return v, "tasks/s", err
-			},
-		})
-	}
-	add(false, 0, "submit=seq")
-	add(true, 0, "submit=batch")
-	add(true, 32, "submit=batch lookahead=32")
-	if overlapEvery == 0 {
+	overlaps := []int{o.StressOverlap}
+	if o.StressOverlap == 0 {
 		// One partially-overlapping point: every 4th column straddles.
-		ov := 4
+		overlaps = append(overlaps, 4)
+	}
+	var pts []point
+	for _, ov := range overlaps {
 		pts = append(pts, point{
 			config: fmt.Sprintf("w=%d d=%d ov=%d submit=batch", width, depth, ov),
 			run: func() (float64, string, error) {
-				v, err := stressRun(width, depth, ov, true, 0)
+				v, err := stressRun(width, depth, ov)
 				return v, "tasks/s", err
 			},
 		})

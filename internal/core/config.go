@@ -66,15 +66,6 @@ type Config struct {
 	// queues.
 	Steal bool
 
-	// Lookahead is the per-place ready-ahead window of each node's
-	// scheduler: when a worker or GPU manager finds its window empty, it
-	// claims up to Lookahead ready tasks from the shared pool in one batch
-	// and dispatches from the window afterwards, so dispatch does not
-	// contend with graph construction on every pop. Claiming binds a task
-	// to a place early, which can change schedules; 0 (and 1) disable the
-	// window and keep schedules bit-identical to the paper-default runtime.
-	Lookahead int
-
 	// NonBlockingCache issues a task's input transfers concurrently and
 	// waits once (the paper's non-blocking cache). When false each
 	// transfer completes before the next is requested.
@@ -128,10 +119,9 @@ type Config struct {
 	// runtime without the subsystem.
 	Faults *faults.Plan
 
-	// ManagerShards partitions the coherence directory and the dependence
-	// conflict map across this many manager shards (internal/dmgr), each
-	// hosted on a cluster node, with dependence lookups and coherence
-	// queries routed to the owning shard and slave-to-slave transfers
+	// ManagerShards partitions the coherence directory across this many
+	// manager shards (internal/dmgr), each hosted on a cluster node, with
+	// dependence lookups and coherence queries routed to the owning shard and slave-to-slave transfers
 	// forced on (the owning manager only brokers metadata). 0 and 1 keep
 	// the centralized master bit-identical to before. Sharding never
 	// changes results — bookkeeping transitions are computed exactly as in
@@ -211,9 +201,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Presend < 0 {
 		panic(fmt.Sprintf("core: negative Presend %d", c.Presend))
-	}
-	if c.Lookahead < 0 {
-		panic(fmt.Sprintf("core: negative Lookahead %d", c.Lookahead))
 	}
 	if c.ManagerShards < 0 {
 		panic(fmt.Sprintf("core: negative ManagerShards %d", c.ManagerShards))

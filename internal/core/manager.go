@@ -11,11 +11,12 @@ import (
 // Distributed managers (DESIGN.md §13). The centralized runtime funnels
 // every dependence lookup and every coherence-directory operation through
 // the master — the classic single-manager bottleneck. When
-// Config.ManagerShards > 1 the directory and the dependence conflict map
-// are partitioned across N manager shards by block ownership
-// (dmgr.Map), each shard hosted on a cluster node, and slave-to-slave
-// transfers become the default data path with the owning shard only
-// brokering metadata.
+// Config.ManagerShards > 1 the directory is partitioned across N manager
+// shards by block ownership (dmgr.Map), each shard hosted on a cluster
+// node; dependence lookups are charged to the shards owning each clause's
+// bytes (mgrChargeSubmit) while the dependence graph itself stays one
+// map; and slave-to-slave transfers become the default data path with
+// the owning shard only brokering metadata.
 //
 // The split is "state-immediate, cost-deferred": bookkeeping transitions
 // are applied exactly as in the centralized runtime (which is why results

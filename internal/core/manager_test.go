@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/faults"
+	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // shardedCfg is faultedCfg with the manager service model armed and the
-// directory/depgraph partitioned over shards manager shards.
+// directory partitioned over shards manager shards.
 func shardedCfg(nodes, shards int, plan *faults.Plan) Config {
 	cfg := faultedCfg(nodes, plan)
 	cfg.ManagerShards = shards
@@ -131,6 +133,62 @@ func TestShardedManagerSameSeedReplaysBitIdentically(t *testing.T) {
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatalf("results diverged at region %d: %d vs %d", i, r1[i], r2[i])
+		}
+	}
+}
+
+func TestShardedManagerBuildsCentralizedGraph(t *testing.T) {
+	// Every manager configuration uses the one dependence graph: sharding
+	// moves only the modeled service of each lookup. One batch enters the
+	// graph before any task runs, so the arcs it creates do not depend on
+	// timing and must be the same for every shard count, including for
+	// regions that straddle the 256KiB ownership blocks. Staging such a
+	// region needs each missing piece to have a holder (dmgr Missing).
+	run := func(shards int) ([]string, int, []byte) {
+		cfg := shardedCfg(8, shards, nil)
+		rt := New(cfg)
+		var arcs []string
+		var data []byte
+		rt.graph.OnArc = func(pred, succ task.ID) {
+			arcs = append(arcs, fmt.Sprintf("%d->%d", pred, succ))
+		}
+		_, err := rt.Run(func(mc *MainCtx) {
+			buf := mc.Alloc(4 << 18)
+			mc.InitSeq(buf, func(b []byte) { fill(b, 0) })
+			var defs []TaskDef
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 6; i++ {
+					// Half-block regions shifted by a quarter block each
+					// round, so they straddle block edges and overlap.
+					r := memspace.Region{Addr: buf.Addr + uint64(i)<<17 + uint64(round)<<16, Size: 1 << 17}
+					defs = append(defs, TaskDef{Name: fmt.Sprintf("r%dt%d", round, i), Device: task.CUDA,
+						Deps: []task.Dep{inoutDep(r)},
+						Work: incWork{r: r, delta: 1, cost: time.Millisecond}})
+				}
+			}
+			mc.SubmitBatch(defs)
+			mc.TaskWait()
+			data = append(data, mc.HostBytes(buf)...)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arcs, rt.graph.Fragments(), data
+	}
+	ca, cf, cd := run(1)
+	if len(ca) == 0 {
+		t.Fatal("overlapping batch created no arcs")
+	}
+	for _, shards := range []int{2, 4} {
+		sa, sf, sd := run(shards)
+		if sf != cf {
+			t.Fatalf("%d shards: %d fragments, centralized %d", shards, sf, cf)
+		}
+		if fmt.Sprint(sa) != fmt.Sprint(ca) {
+			t.Fatalf("%d shards: arcs %v, centralized %v", shards, sa, ca)
+		}
+		if string(sd) != string(cd) {
+			t.Fatalf("%d shards: results differ from the centralized run", shards)
 		}
 	}
 }

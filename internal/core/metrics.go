@@ -93,16 +93,6 @@ func schedHooks(reg *metrics.Registry, scope string) sched.Hooks {
 	}
 }
 
-// lookaheadHooks builds the window-depth/refill instruments of one
-// node's lookahead wrapper.
-func lookaheadHooks(reg *metrics.Registry, scope string) sched.LookaheadHooks {
-	l := metrics.L("sched", scope)
-	return sched.LookaheadHooks{
-		Depth:   reg.Gauge("sched_lookahead_depth", l),
-		Refills: reg.Counter("sched_lookahead_refills_total", l),
-	}
-}
-
 // cacheInstruments builds the hit/miss/eviction counters of one device's
 // software cache.
 func cacheInstruments(reg *metrics.Registry, node, gpu int) coherence.Instruments {

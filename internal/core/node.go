@@ -41,9 +41,6 @@ type nodeRT struct {
 	// partitioned dmgr.Directory.
 	dir directory
 	sch sched.Scheduler
-	// lookahead is non-nil when Config.Lookahead wrapped sch with a
-	// ready-ahead window; kept for window-depth sampling.
-	lookahead *sched.LookaheadSched
 
 	places     int // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
 	workSignal *sim.Event
@@ -116,13 +113,8 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		n.caches = append(n.caches, cache)
 	}
 	n.places = 1 + len(spec.GPUs)
-	scope := "node" + strconv.Itoa(id)
 	n.sch = sched.NewWithHooks(rt.cfg.Scheduler, n.places, n.affinityScore, n.costModel(), rt.cfg.Steal, n.canRun,
-		schedHooks(rt.cfg.Metrics, scope))
-	if rt.cfg.Lookahead > 1 {
-		n.sch = sched.Lookahead(n.sch, rt.cfg.Lookahead, lookaheadHooks(rt.cfg.Metrics, scope))
-		n.lookahead = n.sch.(*sched.LookaheadSched)
-	}
+		schedHooks(rt.cfg.Metrics, "node"+strconv.Itoa(id)))
 	return n
 }
 
@@ -170,18 +162,14 @@ func (n *nodeRT) affinityScore(t *task.Task) []uint64 {
 	return scores
 }
 
-// sampleSchedDepth records the scheduler's queue depth (and, with
-// lookahead enabled, the ready-ahead window depth) as Perfetto counter
-// rows. No-op when tracing is off.
+// sampleSchedDepth records the scheduler's queue depth as a Perfetto
+// counter row. No-op when tracing is off.
 func (n *nodeRT) sampleSchedDepth(now sim.Time) {
 	tr := n.rt.cfg.Trace
 	if tr == nil {
 		return
 	}
 	tr.Count("sched_queue_depth", n.id, now, int64(n.sch.Len()))
-	if n.lookahead != nil {
-		tr.Count("sched_lookahead_depth", n.id, now, int64(n.lookahead.Buffered()))
-	}
 }
 
 // signalWork wakes idle workers.

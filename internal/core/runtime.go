@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/depgraph"
-	"github.com/bsc-repro/ompss/internal/dmgr"
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
@@ -107,29 +106,14 @@ func New(cfg Config) *Runtime {
 		rt.mgr = newMgrState(cfg, rt.met)
 	}
 	if rt.mgr != nil && rt.mgr.sharded {
-		// The master image's directory becomes the partitioned one; the
-		// dependence conflict map splits along the same block ownership.
+		// The master image's directory becomes the partitioned one.
 		rt.master().dir = rt.mgr.pdir
 		rt.registerDirOpHandlers()
 	}
 	if cfg.Faults != nil {
 		rt.armFaultTolerance()
 	}
-	if rt.mgr != nil && rt.mgr.sharded {
-		var spanbuf []dmgr.Span
-		var partbuf []depgraph.PartSpan
-		dmap := rt.mgr.dmap
-		rt.graph = depgraph.NewPartitioned(rt.onReady, dmap.Shards(), func(r memspace.Region) []depgraph.PartSpan {
-			spanbuf = dmap.SpansInto(r, spanbuf)
-			partbuf = partbuf[:0]
-			for _, sp := range spanbuf {
-				partbuf = append(partbuf, depgraph.PartSpan{R: sp.R, Part: sp.Shard})
-			}
-			return partbuf
-		})
-	} else {
-		rt.graph = depgraph.New(rt.onReady)
-	}
+	rt.graph = depgraph.New(rt.onReady)
 	if cfg.Trace != nil {
 		// Mirror every dependence arc into the trace so the critical-path
 		// analyzer sees the graph the scheduler saw.
@@ -196,48 +180,6 @@ func (rt *Runtime) submit(t *task.Task) error {
 		return err
 	}
 	return nil
-}
-
-// submitBatch registers a slice of tasks with the dependency graph in one
-// batched pass (bounds sorted once, fragments split one pass per shard),
-// with per-task outcomes identical to submitting each in turn: a task with
-// malformed clauses is skipped (first error recorded), the rest still
-// enter the graph.
-func (rt *Runtime) submitBatch(ts []*task.Task) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	if rt.pending == 0 {
-		rt.idleEvt = sim.NewEvent(rt.e)
-	}
-	for _, t := range ts {
-		rt.pending++
-		rt.taskDone[t.ID] = sim.NewEvent(rt.e)
-	}
-	prev := rt.releasePlace
-	rt.releasePlace = -1 // submit-time readiness is not a release
-	var firstErr error
-	rest := ts
-	for len(rest) > 0 {
-		accepted, err := rt.graph.SubmitBatch(rest)
-		if err == nil && accepted == len(rest) {
-			break
-		}
-		// rest[accepted] was rejected: roll back its bookkeeping and
-		// continue with the tasks after it, as sequential Submit would.
-		bad := rest[accepted]
-		delete(rt.taskDone, bad.ID)
-		rt.pending--
-		if firstErr == nil {
-			firstErr = err
-		}
-		rest = rest[accepted+1:]
-	}
-	rt.releasePlace = prev
-	if rt.pending == 0 {
-		rt.idleEvt.Trigger()
-	}
-	return firstErr
 }
 
 // finishTask retires t, releasing dependents. place is the master-level
@@ -414,12 +356,12 @@ func (mc *MainCtx) buildTask(def TaskDef) (t *task.Task, ok bool) {
 }
 
 // SubmitBatch creates one task per definition and registers them with the
-// dependency graph in a single batched pass: clause bounds are sorted
-// once and fragments split one pass per shard (depgraph.SubmitBatch),
-// instead of paying an index search per clause per task. Semantics are
-// identical to calling Submit on each definition in order — same arcs,
-// same readiness order, same per-task creation overhead — so it is purely
-// a host-side constant-factor win for wide submission bursts.
+// dependency graph in order, giving the same arcs and readiness order as
+// calling Submit on each definition. The timing differs: the batch pays
+// the whole creation overhead (3 µs per task) and, with the manager layer
+// armed, the whole batch's shard service before the first task enters
+// the graph, so no task becomes ready until the last one is created.
+// Submit interleaves creation with readiness instead.
 func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
 	out := make([]*task.Task, 0, len(defs))
 	valid := make([]*task.Task, 0, len(defs))
@@ -430,15 +372,19 @@ func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
 			valid = append(valid, t)
 		}
 	}
-	// The same per-task creation overhead as sequential submission: batching
-	// amortizes the host's real index work, not the modeled creation cost.
+	// The whole batch's creation overhead, at Submit's per-task rate, is
+	// charged before any task enters the graph.
 	mc.p.Sleep(time.Duration(len(defs)) * 3 * time.Microsecond)
 	// With the manager layer armed, the batch's dependence lookups are
 	// served by the owning shards — in parallel across shards, serialized
 	// within one — before any task enters the graph.
 	mc.rt.mgrChargeSubmit(mc.p, valid)
-	if err := mc.rt.submitBatch(valid); err != nil {
-		mc.rt.fail(err)
+	// A task with malformed clauses is skipped and the rest still enter
+	// the graph; fail keeps the first error.
+	for _, t := range valid {
+		if err := mc.rt.submit(t); err != nil {
+			mc.rt.fail(err)
+		}
 	}
 	return out
 }

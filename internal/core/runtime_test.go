@@ -975,3 +975,127 @@ func TestUtilizationAndStatsAccessors(t *testing.T) {
 		t.Fatal("Utilization")
 	}
 }
+
+// chainWorkload builds width independent chains of depth inc tasks each,
+// submitted either by Submit per def or by one SubmitBatch, and returns the
+// regions for validation.
+func chainWorkload(mc *MainCtx, width, depth int, batch bool) []memspace.Region {
+	regions := make([]memspace.Region, width)
+	defs := make([]TaskDef, 0, width*depth)
+	for i := range regions {
+		regions[i] = mc.Alloc(256)
+		mc.InitSeq(regions[i], func(b []byte) {
+			for j := range b {
+				b[j] = 0
+			}
+		})
+	}
+	for d := 0; d < depth; d++ {
+		for i, r := range regions {
+			def := TaskDef{
+				Name:   fmt.Sprintf("inc%d_%d", i, d),
+				Device: task.CUDA,
+				Deps:   []task.Dep{{Region: r, Access: task.InOut}},
+				Work:   incWork{r: r, delta: 1, cost: 20e3},
+			}
+			if batch {
+				defs = append(defs, def)
+			} else {
+				mc.Submit(def)
+			}
+		}
+	}
+	if batch {
+		mc.SubmitBatch(defs)
+	}
+	return regions
+}
+
+// TestSubmitBatchRuntimeEquivalent checks batch submission executes the
+// same tasks to the same data as sequential submission.
+func TestSubmitBatchRuntimeEquivalent(t *testing.T) {
+	run := func(batch bool) (Stats, [][]byte) {
+		cfg := baseCfg(1, 2)
+		rt := New(cfg)
+		var data [][]byte
+		stats, err := rt.Run(func(mc *MainCtx) {
+			regions := chainWorkload(mc, 6, 4, batch)
+			mc.TaskWait()
+			for _, r := range regions {
+				data = append(data, append([]byte(nil), mc.HostBytes(r)...))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, data
+	}
+	ss, sd := run(false)
+	bs, bd := run(true)
+	if ss.TasksCUDA != bs.TasksCUDA {
+		t.Fatalf("task counts differ: sequential %d, batch %d", ss.TasksCUDA, bs.TasksCUDA)
+	}
+	for i := range sd {
+		for j := range sd[i] {
+			if sd[i][j] != bd[i][j] {
+				t.Fatalf("region %d byte %d: sequential %d, batch %d", i, j, sd[i][j], bd[i][j])
+			}
+		}
+	}
+}
+
+// TestSubmitBatchSkipsMalformedTask checks a batch with a malformed task
+// in the middle behaves like Submit per definition: the run reports that
+// task's error, and the tasks on either side of it still execute.
+func TestSubmitBatchSkipsMalformedTask(t *testing.T) {
+	run := func(batch bool) ([]byte, error) {
+		rt := New(baseCfg(1, 2))
+		var data []byte
+		_, err := rt.Run(func(mc *MainCtx) {
+			regions := make([]memspace.Region, 2)
+			for i := range regions {
+				regions[i] = mc.Alloc(64)
+				mc.InitSeq(regions[i], func(b []byte) { fill(b, 0) })
+			}
+			acc := mc.Alloc(64)
+			keep := func(a, p []byte) {}
+			defs := []TaskDef{
+				{Name: "before", Device: task.CUDA, Deps: []task.Dep{inoutDep(regions[0])},
+					Work: incWork{r: regions[0], delta: 1, cost: time.Millisecond}},
+				// A reduction and an input clause over the same region is
+				// rejected by the dependence graph, not by task creation.
+				{Name: "bad", Device: task.CUDA,
+					Deps:       []task.Dep{{Region: acc, Access: task.Red}, inDep(acc)},
+					Reductions: map[uint64]task.Combiner{acc.Addr: keep}},
+				{Name: "after", Device: task.CUDA, Deps: []task.Dep{inoutDep(regions[1])},
+					Work: incWork{r: regions[1], delta: 2, cost: time.Millisecond}},
+			}
+			if batch {
+				mc.SubmitBatch(defs)
+			} else {
+				for _, def := range defs {
+					mc.Submit(def)
+				}
+			}
+			mc.TaskWait()
+			for _, r := range regions {
+				data = append(data, mc.HostBytes(r)[0])
+			}
+		})
+		return data, err
+	}
+	sd, serr := run(false)
+	bd, berr := run(true)
+	if berr == nil || !strings.Contains(berr.Error(), "bad") {
+		t.Fatalf("batch run error = %v, want the malformed task's error", berr)
+	}
+	if serr == nil || serr.Error() != berr.Error() {
+		t.Fatalf("errors differ: sequential %v, batch %v", serr, berr)
+	}
+	if len(bd) != 2 || bd[0] != 1 || bd[1] != 2 {
+		t.Fatalf("batch results = %v, want [1 2]: a task beside the malformed one was dropped", bd)
+	}
+	if string(sd) != string(bd) {
+		t.Fatalf("results differ: sequential %v, batch %v", sd, bd)
+	}
+}

@@ -72,8 +72,8 @@ func submitBoth(t *testing.T, ts []*task.Task) {
 
 // TestBatchSplitsOnFragmentEdges exercises bounds landing exactly on
 // existing fragment edges: the second batch's regions start and end
-// precisely where the first batch's fragments do, so SplitBounds must
-// treat every bound as a no-op and create no extra fragments.
+// precisely where the first batch's fragments do, so the batch must
+// create no extra fragments.
 func TestBatchSplitsOnFragmentEdges(t *testing.T) {
 	ts := []*task.Task{
 		mk("w0", rawDep(0, 128, task.Out)),

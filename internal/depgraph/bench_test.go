@@ -47,19 +47,6 @@ func BenchmarkSubmit(b *testing.B) {
 	b.ReportMetric(float64(width), "tasks/op")
 }
 
-// BenchmarkSubmitBatch measures the batched path on the same workload.
-func BenchmarkSubmitBatch(b *testing.B) {
-	const width = 100_000
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		g := New(func(*task.Task) {})
-		if _, err := g.SubmitBatch(stridedTasks(width, 0)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(width), "tasks/op")
-}
-
 // BenchmarkSubmitChainAllocs pins the lazy-succSet win: a linear chain
 // (each task inout on one region, one successor per node) must not pay a
 // map allocation per task. Run with -benchmem; allocs/op is the gate.

@@ -150,7 +150,8 @@ func (d *Directory) Known(r memspace.Region) bool {
 	return false
 }
 
-// coalesce merges abutting byte ranges in place. The shard decomposition
+// coalesce merges abutting byte ranges in place, a merge going ahead only
+// when ok (if non-nil) accepts the merged range. The shard decomposition
 // cuts fragments at ownership-block edges; the reassembled Missing/Held
 // answers must not leak those cuts to callers: the cluster layer ships
 // one transfer per returned piece, and splitting what the centralized
@@ -158,12 +159,15 @@ func (d *Directory) Known(r memspace.Region) bool {
 // land between the halves — holder state diverging across halves of one
 // logical fragment, which the producer-chain recovery protocol (built on
 // holder-uniform fragments) double-applies producers to.
-func coalesce(rs []memspace.Region) []memspace.Region {
+func coalesce(rs []memspace.Region, ok func(memspace.Region) bool) []memspace.Region {
 	out := rs[:0]
 	for _, r := range rs {
 		if n := len(out); n > 0 && out[n-1].End() == r.Addr {
-			out[n-1].Size += r.Size
-			continue
+			merged := memspace.Region{Addr: out[n-1].Addr, Size: out[n-1].Size + r.Size}
+			if ok == nil || ok(merged) {
+				out[n-1] = merged
+				continue
+			}
 		}
 		out = append(out, r)
 	}
@@ -171,13 +175,16 @@ func coalesce(rs []memspace.Region) []memspace.Region {
 }
 
 // Missing returns the byte ranges of r that loc does not hold, in address
-// order across shard spans, abutting pieces merged.
+// order across shard spans. Abutting pieces are merged while some location
+// still holds all of the merged range: the caller fetches each piece from
+// one of its Holders, so two neighbouring fragments with no common holder
+// stay two pieces, as the centralized directory reports them.
 func (d *Directory) Missing(r memspace.Region, loc memspace.Location) []memspace.Region {
 	var out []memspace.Region
 	for _, sp := range d.spans(r) {
 		out = append(out, d.shards[sp.Shard].Missing(sp.R, loc)...)
 	}
-	return coalesce(out)
+	return coalesce(out, func(m memspace.Region) bool { return len(d.Holders(m)) > 0 })
 }
 
 // Held returns the byte ranges of r that loc does hold, in address order,
@@ -187,7 +194,7 @@ func (d *Directory) Held(r memspace.Region, loc memspace.Location) []memspace.Re
 	for _, sp := range d.spans(r) {
 		out = append(out, d.shards[sp.Shard].Held(sp.R, loc)...)
 	}
-	return coalesce(out)
+	return coalesce(out, nil)
 }
 
 // HeldBytes returns how many bytes of r loc holds.

@@ -254,6 +254,11 @@ func TestDirectoryEquivalence(t *testing.T) {
 		if a, b := sumBytes(single.Missing(q, ql)), sumBytes(parted.Missing(q, ql)); a != b {
 			t.Fatalf("step %d: Missing(%v,%v) covers %d vs %d bytes", step, q, ql, a, b)
 		}
+		for _, piece := range parted.Missing(q, ql) {
+			if len(parted.Holders(piece)) == 0 {
+				t.Fatalf("step %d: Missing(%v,%v) piece %v has no holder", step, q, ql, piece)
+			}
+		}
 		if a, b := sumBytes(single.Held(q, ql)), sumBytes(parted.Held(q, ql)); a != b {
 			t.Fatalf("step %d: Held(%v,%v) covers %d vs %d bytes", step, q, ql, a, b)
 		}
@@ -272,6 +277,45 @@ func TestDirectoryEquivalence(t *testing.T) {
 	}
 	if sumA, sumB := regionsBytes(single.Regions()), regionsBytes(parted.Regions()); sumA != sumB {
 		t.Fatalf("Regions cover %d vs %d bytes", sumA, sumB)
+	}
+}
+
+// TestMissingPiecesHaveAHolder: the caller fetches each piece Missing
+// returns from one of its Holders, so every piece must be held in full
+// somewhere. One fragment cut at an ownership-block edge still comes back
+// as one piece; two neighbouring fragments with different holders come
+// back as two, as they do from the centralized directory.
+func TestMissingPiecesHaveAHolder(t *testing.T) {
+	m := NewMap(4, 8)
+	r := memspace.Region{Addr: BlockSize - 4096, Size: 8192}
+	if spans := m.Spans(r); len(spans) != 2 {
+		t.Fatalf("region %v spans %v, want two shards", r, spans)
+	}
+	single := coherence.NewDirectory()
+	parted := NewDirectory(m)
+	dirs := []dirAPI{single, parted}
+	for _, d := range dirs {
+		d.Init(r, memspace.Host(0))
+	}
+	if got := parted.Missing(r, memspace.Host(3)); len(got) != 1 || got[0] != r {
+		t.Fatalf("Missing over one fragment cut at a block edge = %v, want [%v]", got, r)
+	}
+	left := memspace.Region{Addr: r.Addr, Size: 4096}
+	right := memspace.Region{Addr: BlockSize, Size: 4096}
+	for _, d := range dirs {
+		d.Produced(left, memspace.GPU(1, 0))
+		d.Produced(right, memspace.GPU(2, 0))
+	}
+	for i, d := range dirs {
+		got := d.Missing(r, memspace.Host(3))
+		if len(got) != 2 || got[0] != left || got[1] != right {
+			t.Fatalf("directory %d: Missing = %v, want [%v %v]", i, got, left, right)
+		}
+		for _, piece := range got {
+			if len(d.Holders(piece)) == 0 {
+				t.Fatalf("directory %d: piece %v has no holder", i, piece)
+			}
+		}
 	}
 }
 

@@ -313,66 +313,3 @@ func (m *FragMap[V]) CoverInto(r Region, out []*Frag[V]) []*Frag[V] {
 	}
 	return out
 }
-
-// SplitBounds splits every fragment whose interior contains one of bounds,
-// in a single pass per shard: each affected shard is rebuilt once instead
-// of paying one memmove per split. bounds must be sorted ascending;
-// duplicates and bounds on fragment boundaries or in gaps are no-ops.
-// This is the batched-submission fast path: pre-splitting at a batch's
-// region bounds is semantically invisible (payloads are cloned, so later
-// covers see the same state at finer granularity).
-func (m *FragMap[V]) SplitBounds(bounds []uint64) {
-	if len(bounds) == 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	bi := 0
-	for si := 0; si < len(m.shards); si++ {
-		sh := m.shards[si]
-		hi := sh.end()
-		for bi < len(bounds) && bounds[bi] <= sh.start() {
-			bi++
-		}
-		if bi == len(bounds) {
-			return
-		}
-		if bounds[bi] >= hi {
-			continue
-		}
-		// At least one bound may land inside this shard: rebuild it once.
-		rebuilt := make([]*Frag[V], 0, len(sh.frags)+8)
-		bj := bi
-		for _, f := range sh.frags {
-			for bj < len(bounds) && bounds[bj] < f.R.End() {
-				cut := bounds[bj]
-				if cut <= f.R.Addr { // duplicate, gap, or exact edge: no-op
-					bj++
-					continue
-				}
-				left := &Frag[V]{
-					R: Region{Addr: f.R.Addr, Size: cut - f.R.Addr},
-					V: m.cloneV(f.V),
-				}
-				rebuilt = append(rebuilt, left)
-				f.R = Region{Addr: cut, Size: f.R.End() - cut}
-				m.n++
-				bj++
-			}
-			rebuilt = append(rebuilt, f)
-		}
-		bi = bj
-		if added := len(rebuilt) - len(sh.frags); added == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		sh.frags = rebuilt
-		sh.mu.Unlock()
-		m.rebalance(si)
-		// Skip the shards the rebalance spliced in: their fragments were
-		// all swept against bounds already.
-		for si+1 < len(m.shards) && m.shards[si+1].start() < hi {
-			si++
-		}
-	}
-}

@@ -140,66 +140,6 @@ func TestFragMapMatchesFlatReference(t *testing.T) {
 	}
 }
 
-// TestFragMapSplitBoundsMatchesSequential checks the batched single-sweep
-// splitter against one SplitAt per bound, including bounds on exact
-// fragment edges, in gaps, before the first and past the last fragment.
-func TestFragMapSplitBoundsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		batched := NewFragMap[int](nil, nil)
-		seq := NewFragMap[int](nil, nil)
-		// Seed both with identical random fragments (with gaps).
-		pos := uint64(64)
-		id := 1
-		for i := 0; i < 50+rng.Intn(900); i++ {
-			if rng.Intn(3) == 0 {
-				pos += uint64(rng.Intn(100)) // gap
-			}
-			size := uint64(1 + rng.Intn(64))
-			r := Region{Addr: pos, Size: size}
-			for _, f := range batched.Cover(r) {
-				f.V = id
-			}
-			for _, f := range seq.Cover(r) {
-				f.V = id
-			}
-			pos += size
-			id++
-		}
-		var bounds []uint64
-		for i := 0; i < 200; i++ {
-			bounds = append(bounds, uint64(rng.Intn(int(pos)+200)))
-		}
-		// Include exact fragment edges explicitly.
-		for _, f := range batched.All()[:10] {
-			bounds = append(bounds, f.R.Addr, f.R.End())
-		}
-		sortUint64(bounds)
-		batched.SplitBounds(bounds)
-		for _, b := range bounds {
-			seq.SplitAt(b)
-		}
-		ba, sa := batched.All(), seq.All()
-		if len(ba) != len(sa) {
-			t.Fatalf("trial %d: batched %d fragments, sequential %d", trial, len(ba), len(sa))
-		}
-		for i := range ba {
-			if ba[i].R != sa[i].R || ba[i].V != sa[i].V {
-				t.Fatalf("trial %d fragment %d: batched %v/%d, sequential %v/%d",
-					trial, i, ba[i].R, ba[i].V, sa[i].R, sa[i].V)
-			}
-		}
-	}
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // TestFragMapShardGrowth builds fragments in a strided (non-monotonic)
 // order and checks the index stays sorted, disjoint and bounded per shard.
 func TestFragMapShardGrowth(t *testing.T) {

@@ -72,10 +72,6 @@ type Request struct {
 	// figures sweep the scheduler as part of their grid; use grid_point.
 	Scheduler string `json:"scheduler,omitempty"`
 
-	// Lookahead sets the per-place ready-ahead window (PR 6) on every
-	// simulated grid point. 0 keeps the paper default (off).
-	Lookahead int `json:"lookahead,omitempty"`
-
 	// Trace records the designated grid point's Perfetto trace (fig10
 	// only) and stores it with the result.
 	Trace bool `json:"trace,omitempty"`
@@ -159,12 +155,6 @@ func (r Request) Validate() error {
 	if (r.Seed != 0 || r.FaultPlan != nil) && !cluster {
 		return fmt.Errorf("fault injection applies only to cluster experiments (fig9-13, heat)")
 	}
-	if r.Lookahead < 0 {
-		return fmt.Errorf("lookahead must be >= 0")
-	}
-	if r.Lookahead > 0 && (r.Experiment == "table1" || r.Experiment == "stress") {
-		return fmt.Errorf("lookahead does not apply to %s", r.Experiment)
-	}
 	if r.Trace && r.Experiment != "fig10" {
 		return fmt.Errorf("trace recording has a designated grid point only in fig10")
 	}
@@ -192,6 +182,9 @@ func (r Request) Validate() error {
 		for _, c := range p.Crashes {
 			if c.Node < 0 || c.AtNS < 0 {
 				return fmt.Errorf("fault_plan.crashes entries need node >= 0, at_ns >= 0")
+			}
+			if c.Node == 0 {
+				return fmt.Errorf("fault_plan.crashes cannot name node 0: the master is the recovery coordinator and cannot fail")
 			}
 		}
 	}
@@ -248,9 +241,6 @@ func (r Request) canonical() []byte {
 	}
 	if r.GridPoint != "" {
 		kv("grid_point", r.GridPoint)
-	}
-	if r.Lookahead != 0 {
-		kv("lookahead", strconv.Itoa(r.Lookahead))
 	}
 	if r.Quick {
 		kv("quick", "1")
@@ -309,7 +299,6 @@ func (r Request) Options() bench.Options {
 	o := bench.Options{
 		Quick:         r.Quick,
 		GridPoint:     r.GridPoint,
-		Lookahead:     r.Lookahead,
 		StressWidth:   r.StressWidth,
 		StressDepth:   r.StressDepth,
 		StressOverlap: r.StressOverlap,

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -278,16 +279,25 @@ func writeResult(w http.ResponseWriter, res *Result, cacheState string) {
 	w.Write([]byte("\n"))
 }
 
+// maxRequestBytes caps a request body. A valid request is a few hundred
+// bytes; larger bodies are answered with 413 before they are decoded.
+const maxRequestBytes = 1 << 20
+
 // handleSubmit is POST /v1/experiments: parse, hash, and serve through
 // the three-stage path — cache, singleflight, worker pool. ?async=1
 // returns immediately with a job id; otherwise the handler waits for the
 // result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	async := r.URL.Query().Get("async") == "1"
-	req, err := ParseRequest(r.Body)
+	req, err := ParseRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		s.st.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "%v", err)
 		return
 	}
 	s.st.requests.Add(1)

@@ -357,6 +357,54 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
+// TestMasterCrashRejected: a fault plan that crashes the master is a 400
+// from validation. It never reaches the runtime, which cannot recover
+// from losing node 0, and the server keeps serving.
+func TestMasterCrashRejected(t *testing.T) {
+	s := startServer(t, Config{})
+	body := `{"experiment":"fig11","quick":true,"fault_plan":{"crashes":[{"node":0,"at_ns":1000}]}}`
+	if st, b, _ := post(t, s.URL(), body); st != http.StatusBadRequest {
+		t.Fatalf("master crash: status %d, want 400; body %s", st, b)
+	}
+	if st, b, _ := post(t, s.URL(), `{"experiment":"table1","quick":true}`); st != http.StatusOK {
+		t.Fatalf("valid request after the rejection: status %d, want 200; body %s", st, b)
+	}
+}
+
+// TestOversizedBodyRejected: a body over maxRequestBytes is a 413 and is
+// counted as a bad request; a valid request still gets served.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := startServer(t, Config{Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
+		return fakeResult(req.Experiment), nil
+	}})
+	body := `{"experiment":"heat","grid_point":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	if st, b, _ := post(t, s.URL(), body); st != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413; body %s", st, b)
+	}
+	if st := s.Stats(); st.BadRequests != 1 {
+		t.Fatalf("bad_requests = %d, want 1", st.BadRequests)
+	}
+	if st, b, _ := post(t, s.URL(), `{"experiment":"heat"}`); st != http.StatusOK {
+		t.Fatalf("valid request after the rejection: status %d, want 200; body %s", st, b)
+	}
+}
+
+// TestBodyAtCapAccepted: the cap is inclusive. A valid request padded
+// to exactly maxRequestBytes is served; one byte more is a 413.
+func TestBodyAtCapAccepted(t *testing.T) {
+	s := startServer(t, Config{Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
+		return fakeResult(req.Experiment), nil
+	}})
+	valid := `{"experiment":"heat"}`
+	body := strings.Repeat(" ", maxRequestBytes-len(valid)) + valid
+	if st, b, _ := post(t, s.URL(), body); st != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: status %d, want 200; body %s", len(body), st, b)
+	}
+	if st, b, _ := post(t, s.URL(), " "+body); st != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d, want 413; body %s", len(body)+1, st, b)
+	}
+}
+
 // TestDrainFinishesAdmittedWork: Shutdown waits for queued and running
 // jobs, refuses new work afterwards, and is idempotent.
 func TestDrainFinishesAdmittedWork(t *testing.T) {
@@ -436,7 +484,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				exp := []string{"heat", "fig9", "fig11", "fig12"}[i%4]
-				post(t, s.URL(), `{"experiment":"`+exp+`","lookahead":`+fmt.Sprint(i%8)+`}`)
+				post(t, s.URL(), `{"experiment":"`+exp+`","seed":`+fmt.Sprint(i%8)+`}`)
 			}(i)
 		}
 		wg.Wait()

@@ -87,7 +87,7 @@ fi
 # A drop is a hot-path regression; a jump past the band usually means the
 # stress workload silently shrank — both fail (re-record deliberately).
 STRESS_OUT=$("$BIN" -experiment stress -quick)
-NOW_TPS=$(echo "$STRESS_OUT" | awk '/ov=0 submit=batch/ && !/lookahead/ {print $(NF-1)}')
+NOW_TPS=$(echo "$STRESS_OUT" | awk '/ov=0 submit=batch/ {print $(NF-1)}')
 if [ -z "$NOW_TPS" ]; then
     echo "bench-guard: FAIL: stress run reported no 'ov=0 submit=batch' row" >&2
     STATUS=1

@@ -51,7 +51,7 @@ ARMED_OVERHEAD_PCT=$(echo "$RES_OUT" | awk '/armed zero-fault overhead/ {print $
 # Submission stress: host-side tasks/sec of the quick grid's batch row
 # (10^5 tasks, strided order). bench_guard.sh gates future runs on it.
 STRESS_OUT=$("$BIN" -experiment stress -quick)
-STRESS_TPS=$(echo "$STRESS_OUT" | awk '/ov=0 submit=batch/ && !/lookahead/ {print $(NF-1)}')
+STRESS_TPS=$(echo "$STRESS_OUT" | awk '/ov=0 submit=batch/ {print $(NF-1)}')
 if [ -z "$STRESS_TPS" ]; then
     echo "perf-baseline: stress run reported no 'ov=0 submit=batch' row" >&2
     exit 1
