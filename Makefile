@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test lint lint-json race bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap
+.PHONY: check vet fmt build test lint lint-json race bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap perfbench
 
 ## check: gofmt + go vet + build + ompss-lint + full test suite (the tier-1 gate)
 check: fmt vet build lint test
@@ -41,6 +41,17 @@ resilience:
 	$(GO) test ./internal/faults/ ./internal/core/ -run 'Resilience|Fault'
 	$(GO) test ./internal/gasnet/ -run 'Reliable|Ack|Attempts|Shutdown|Probe|InboundFilter'
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
+
+## perfbench: vet and test the benchmark module (perfbench/, its own go.mod
+## replacing this one) with the environment perfbench/run.sh builds it in,
+## so a change to an internal API it imports fails here, not at benchmark
+## time; the caches stay under .bench_build/
+PERFBENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOMODCACHE=$(CURDIR)/.bench_build/gomod \
+	GOTMPDIR=$(CURDIR)/.bench_build/tmp GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=
+perfbench:
+	@mkdir -p .bench_build/gocache .bench_build/gomod .bench_build/tmp
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./...
+	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
 
 ## bench: layer microbenchmarks (ns/op and allocs/op of the sim primitives
 ## and of the coherence cache's overlap sweep at 256 and 4096 lines)

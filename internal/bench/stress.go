@@ -112,21 +112,7 @@ func stressRun(width, depth, overlapEvery int) (float64, error) {
 // Stress is the tasks/sec scaling experiment (not a paper figure; gated
 // by scripts/bench_guard.sh alongside the wall-clock budgets).
 func Stress(o Options) ([]Row, error) {
-	width, depth := o.StressWidth, o.StressDepth
-	if width == 0 {
-		if o.Quick {
-			width = 20_000
-		} else {
-			width = 100_000
-		}
-	}
-	if depth == 0 {
-		if o.Quick {
-			depth = 5
-		} else {
-			depth = 10
-		}
-	}
+	width, depth := StressShape(o)
 	overlaps := []int{o.StressOverlap}
 	if o.StressOverlap == 0 {
 		// One partially-overlapping point: every 4th column straddles.
@@ -143,4 +129,25 @@ func Stress(o Options) ([]Row, error) {
 		})
 	}
 	return runGrid("stress", o, pts)
+}
+
+// StressShape returns the stress grid's width and depth under o: the
+// overrides, or the defaults (10^6 tasks full, 10^5 quick) where zero.
+func StressShape(o Options) (width, depth int) {
+	width, depth = o.StressWidth, o.StressDepth
+	if width == 0 {
+		if o.Quick {
+			width = 20_000
+		} else {
+			width = 100_000
+		}
+	}
+	if depth == 0 {
+		if o.Quick {
+			depth = 5
+		} else {
+			depth = 10
+		}
+	}
+	return width, depth
 }

@@ -239,10 +239,11 @@ func (d *Directory) AddHolder(r memspace.Region, loc memspace.Location) {
 }
 
 // AddHolderPartial is AddHolder minus the unknown-region panic: it reports
-// whether any fragment of r was known. The partitioned directory
-// (internal/dmgr) applies AddHolder span by span, where a single shard's
-// span may legitimately be wholly unknown as long as some shard knows the
-// region.
+// whether any fragment of r was known. Its only user is dmgr.Directory,
+// the partitioned directory the benchmark replays (the runtime keeps one
+// directory and never partitions it), which applies AddHolder span by
+// span, where a single shard's span may legitimately be wholly unknown as
+// long as some shard knows the region.
 func (d *Directory) AddHolderPartial(r memspace.Region, loc memspace.Location) bool {
 	d.frags.SplitAt(r.Addr)
 	d.frags.SplitAt(r.End())
@@ -409,9 +410,10 @@ func (d *Directory) Holders(r memspace.Region) []memspace.Location {
 
 // CandidateHolders returns a copy of the holder set of the first fragment
 // overlapping r, and whether any fragment overlaps at all — the candidate
-// set Holders filters before the coverage check. The partitioned directory
-// (internal/dmgr) uses it to reassemble the exact Holders semantics across
-// shard spans.
+// set Holders filters before the coverage check. Its only user is
+// dmgr.Directory, the partitioned directory the benchmark replays (the
+// runtime keeps one directory), which reassembles the exact Holders
+// semantics across shard spans with it.
 func (d *Directory) CandidateHolders(r memspace.Region) ([]memspace.Location, bool) {
 	ens := d.overlapping(r)
 	if len(ens) == 0 {

@@ -397,7 +397,7 @@ func (rt *Runtime) stageToNodeOnce(p *sim.Proc, r memspace.Region, k int) (ok, s
 	// exact-match regions, several when writers fragmented the range.
 	// With the manager layer armed this is a blocking query answered by
 	// r's owning shards.
-	rt.mgrChargeQuery(p, 0, r)
+	rt.mgrChargeQuery(p, r)
 	missing := m.dir.Missing(r, memspace.Host(k))
 	if len(missing) == 0 {
 		return true, true
@@ -470,10 +470,10 @@ func (rt *Runtime) stageFragToNode(p *sim.Proc, frag memspace.Region, k int) (ok
 		id := rt.newXfer(src.Node, k)
 		ack := cl.xferEvents[id]
 		start := p.Now()
-		// In sharded mode the push request originates from the owning
-		// shard's host — the manager brokering the transfer's metadata —
-		// not from the master. The data still flows slave-to-slave and
-		// the ack still lands on the master (the dispatch coordinator).
+		// The push request originates from the owning shard's host — the
+		// manager brokering the transfer's metadata; the master when
+		// centralized. The data still flows slave-to-slave and the ack
+		// still lands on the master (the dispatch coordinator).
 		broker := rt.mgrBrokerEndpoint(frag)
 		if !broker.ep.AMShort(p, src.Node, amPush, pushArgs{Region: frag, Dest: k, XferID: id}) {
 			rt.ackXfer(id)
@@ -608,14 +608,12 @@ func (n *nodeRT) registerSlaveHandlers() {
 			// managers are distributed).
 			n.ep.AMProbe(p, am.From, amPong, nil)
 		})
-		if n.rt.mgr != nil && n.rt.mgr.sharded {
-			// Any node can host a manager shard and run a per-shard
-			// failure detector, so every slave can receive pongs.
-			n.ep.Register(amPong, func(p *sim.Proc, am gasnet.AM) {
-				n.rt.ft.pongSince[am.From] = true
-				n.rt.ft.missStreak[am.From] = 0
-			})
-		}
+		// Any node can host a manager shard and run a per-shard failure
+		// detector, so every slave can receive pongs.
+		n.ep.Register(amPong, func(p *sim.Proc, am gasnet.AM) {
+			n.rt.ft.pongSince[am.From] = true
+			n.rt.ft.missStreak[am.From] = 0
+		})
 	}
 	n.ep.Register(amData, func(p *sim.Proc, am gasnet.AM) {
 		// Fresh data arriving at this node's host: it becomes the node's

@@ -119,14 +119,17 @@ type Config struct {
 	// runtime without the subsystem.
 	Faults *faults.Plan
 
-	// ManagerShards partitions the coherence directory across this many
-	// manager shards (internal/dmgr), each hosted on a cluster node, with
-	// dependence lookups and coherence queries routed to the owning shard and slave-to-slave transfers
-	// forced on (the owning manager only brokers metadata). 0 and 1 keep
-	// the centralized master bit-identical to before. Sharding never
-	// changes results — bookkeeping transitions are computed exactly as in
-	// the centralized runtime — it changes *where* (and with ManagerOpCost
-	// *when*) directory work happens.
+	// ManagerShards assigns the address space to this many manager shards
+	// by block ownership (internal/dmgr), each hosted on a cluster node:
+	// dependence lookups and coherence queries are charged to and routed
+	// through the owning shard, and slave-to-slave transfers are forced on
+	// (the owning manager only brokers metadata). The master keeps the one
+	// coherence directory in every configuration; shards are a cost and
+	// routing model over it. 0 and 1 mean one shard on the master: the
+	// centralized runtime. Sharding never changes results — bookkeeping
+	// transitions are computed exactly as in the centralized runtime — it
+	// changes *where* (and with ManagerOpCost *when*) directory work
+	// happens.
 	ManagerShards int
 
 	// PowerCapWatts, when positive, arms the cluster power governor: the

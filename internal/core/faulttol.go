@@ -136,61 +136,18 @@ func (rt *Runtime) isRecoveryTask(t *task.Task) bool {
 	return rec
 }
 
-// spawnHeartbeat starts the master's failure detector: every interval it
-// checks the previous round's replies, then probes each live slave with a
-// best-effort control datagram. missThreshold consecutive unanswered
-// probes declare the slave dead.
-func (rt *Runtime) spawnHeartbeat() {
-	if rt.mgr != nil && rt.mgr.sharded {
-		rt.spawnShardedHeartbeat()
-		return
-	}
-	ft := rt.ft
-	m := rt.master()
-	rt.e.Go("heartbeat", func(p *sim.Proc) {
-		awaiting := make([]bool, len(rt.nodes))
-		for {
-			p.Sleep(ft.hbInterval)
-			if m.stopping {
-				return
-			}
-			for k := 1; k < len(rt.nodes); k++ {
-				if ft.dead[k] {
-					continue
-				}
-				if awaiting[k] {
-					if ft.pongSince[k] {
-						ft.missStreak[k] = 0
-					} else {
-						ft.missStreak[k]++
-						rt.met.hbMisses.Inc()
-						now := p.Now()
-						rt.cfg.Trace.Record(trace.Span{Kind: trace.Heartbeat,
-							Name: fmt.Sprintf("miss:node%d#%d", k, ft.missStreak[k]),
-							Node: 0, Dev: -1, Start: now, End: now})
-						if ft.missStreak[k] >= ft.missThreshold {
-							rt.nodeDead(k, "heartbeat")
-							continue
-						}
-					}
-				}
-				ft.pongSince[k] = false
-				awaiting[k] = true
-				m.ep.AMProbe(p, k, amPing, nil)
-			}
-		}
-	})
-}
-
-// spawnShardedHeartbeat is the distributed-manager failure detector: one
-// probe loop per manager node, each probing only the slaves it monitors.
-// Slave k is monitored by the live manager at position k mod (live
+// spawnHeartbeat starts the failure detector: one probe loop per manager
+// node — the master alone when centralized — each probing only the slaves
+// it monitors. Every interval a loop checks the previous round's replies,
+// then probes each of its live slaves with a best-effort control
+// datagram; missThreshold consecutive unanswered probes declare the slave
+// dead. Slave k is monitored by the live manager at position k mod (live
 // managers), except that no node monitors itself — those slaves fall to
 // the master. When a manager dies, its loop exits and the deterministic
 // assignment re-routes its slaves to the survivors at the next round; the
 // per-slave reply/streak state is shared, so a handover never loses an
 // accumulated miss streak.
-func (rt *Runtime) spawnShardedHeartbeat() {
+func (rt *Runtime) spawnHeartbeat() {
 	ft := rt.ft
 	mgrs := rt.mgr.dmap.ManagerNodes() // includes node 0 (shard 0's host)
 	liveMon := func(k int) int {

@@ -10,22 +10,25 @@ import (
 
 // Distributed managers (DESIGN.md §13). The centralized runtime funnels
 // every dependence lookup and every coherence-directory operation through
-// the master — the classic single-manager bottleneck. When
-// Config.ManagerShards > 1 the directory is partitioned across N manager
-// shards by block ownership (dmgr.Map), each shard hosted on a cluster
-// node; dependence lookups are charged to the shards owning each clause's
-// bytes (mgrChargeSubmit) while the dependence graph itself stays one
-// map; and slave-to-slave transfers become the default data path with
-// the owning shard only brokering metadata.
+// the master — the classic single-manager bottleneck. Config.ManagerShards
+// assigns the address space to N manager shards by block ownership
+// (dmgr.Map), each shard hosted on a cluster node: dependence lookups and
+// directory operations are charged to the shards owning each region's
+// bytes, and slave-to-slave pushes are brokered by the owning shard's
+// host. The master keeps the one dependence graph and the one coherence
+// directory in every configuration; sharding is a cost and routing model
+// over them, and centralized is the 1-shard map.
 //
 // The split is "state-immediate, cost-deferred": bookkeeping transitions
 // are applied exactly as in the centralized runtime (which is why results
-// stay checksum-exact between centralized and sharded runs, and why
-// shards=1 stays bit-identical), while Config.ManagerOpCost arms a
-// virtual-time service model — each shard an FCFS serial queue — that
-// makes the caller of a blocking query sleep until the owning shard has
-// served it. One centralized queue saturates; N queues scale. That
-// difference is what `ompss-bench -experiment weakscale` measures.
+// stay checksum-exact between centralized and sharded runs), while
+// Config.ManagerOpCost arms a virtual-time service model — each shard an
+// FCFS serial queue — that makes the caller of a blocking query sleep
+// until the owning shard has served it. One centralized queue saturates;
+// N queues scale. That difference is what `ompss-bench -experiment
+// weakscale` measures. With ManagerOpCost 0 nothing is charged, and at
+// one shard every routing decision lands on the master, so the default
+// runtime runs exactly as a runtime without the layer.
 
 // Per-operation weights of the service model, in shard-queue operations
 // per decomposed span.
@@ -45,46 +48,18 @@ const (
 )
 
 // amDirOp is the control active message that carries a routed directory
-// operation to a remote shard host in sharded mode. The state transition
-// itself is applied at the master image (state-immediate); the message
-// makes the metadata routing visible on the simulated fabric and is
-// counted by the shard host. Best-effort like the heartbeat: a lost
-// datagram loses nothing but a counter increment.
+// operation to a remote shard host. The state transition itself is
+// applied at the master image (state-immediate); the message makes the
+// metadata routing visible on the simulated fabric and is counted by the
+// shard host. Best-effort like the heartbeat: a lost datagram loses
+// nothing but a counter increment.
 const amDirOp = "dirop"
 
-// directory is the coherence-directory surface the runtime drives.
-// Satisfied by both coherence.Directory (per-node images, centralized
-// master) and dmgr.Directory (the sharded master).
-type directory interface {
-	TrackProducers(memspace.Location)
-	RecordProducer(memspace.Region, *task.Task)
-	Producers(memspace.Region) []*task.Task
-	Init(memspace.Region, memspace.Location)
-	Produced(memspace.Region, memspace.Location)
-	AddHolder(memspace.Region, memspace.Location)
-	PurgeNode(int) []memspace.Region
-	Rehome(memspace.Region)
-	DropHolder(memspace.Region, memspace.Location)
-	IsHolder(memspace.Region, memspace.Location) bool
-	Known(memspace.Region) bool
-	Missing(memspace.Region, memspace.Location) []memspace.Region
-	Held(memspace.Region, memspace.Location) []memspace.Region
-	HeldBytes(memspace.Region, memspace.Location) uint64
-	Version(memspace.Region) int
-	Holders(memspace.Region) []memspace.Location
-	Regions() []memspace.Region
-	Fragments() int
-}
-
-// mgrState is the distributed-manager state. Nil unless ManagerShards > 1
-// or ManagerOpCost > 0; every sharded/charging path is gated on it, which
-// keeps the default runtime bit-identical to before.
+// mgrState is the manager layer's cost and routing model, built for every
+// runtime: ManagerShards <= 1 gives the 1-shard map hosted on the master.
 type mgrState struct {
-	dmap    *dmgr.Map
-	model   *dmgr.Model
-	sharded bool
-	// pdir is the master's partitioned directory (nil unless sharded).
-	pdir *dmgr.Directory
+	dmap  *dmgr.Map
+	model *dmgr.Model
 
 	// Reusable span scratch of the (serial) charge paths that run on the
 	// submission thread; concurrent paths (staging procs, handlers)
@@ -93,27 +68,18 @@ type mgrState struct {
 	opsbuf  []int
 }
 
-// newMgrState arms the manager layer.
+// newMgrState builds the manager layer.
 func newMgrState(cfg Config, met *rtMetrics) *mgrState {
-	shards := cfg.ManagerShards
-	if shards < 1 {
-		shards = 1
-	}
-	nodes := len(cfg.Cluster.Nodes)
-	dmap := dmgr.NewMap(shards, nodes)
+	shards := max(cfg.ManagerShards, 1)
+	dmap := dmgr.NewMap(shards, len(cfg.Cluster.Nodes))
 	// A routed metadata request pays the one-way wire latency plus the
 	// sender-side message overhead per hop.
 	hop := cfg.Cluster.Net.Latency + cfg.Cluster.Net.PerMessageOverhead
-	m := &mgrState{
-		dmap:    dmap,
-		model:   dmgr.NewModel(dmap, cfg.ManagerOpCost, hop, met.mgrOps, met.mgrRemoteOps),
-		sharded: shards > 1,
-		opsbuf:  make([]int, shards),
+	return &mgrState{
+		dmap:   dmap,
+		model:  dmgr.NewModel(dmap, cfg.ManagerOpCost, hop, met.mgrOps, met.mgrRemoteOps),
+		opsbuf: make([]int, shards),
 	}
-	if m.sharded {
-		m.pdir = dmgr.NewDirectory(dmap)
-	}
-	return m
 }
 
 // spanOps folds the spans of r into the per-shard op tally.
@@ -132,7 +98,7 @@ func (m *mgrState) spanOps(ops []int, r memspace.Region, perSpan int) {
 // through a single queue: exactly the centralized bottleneck.
 func (rt *Runtime) mgrChargeSubmit(p *sim.Proc, ts []*task.Task) {
 	m := rt.mgr
-	if m == nil || m.model.OpCost == 0 || len(ts) == 0 {
+	if m.model.OpCost == 0 || len(ts) == 0 {
 		return
 	}
 	ops := m.opsbuf
@@ -167,7 +133,7 @@ func (rt *Runtime) mgrChargeSubmit(p *sim.Proc, ts []*task.Task) {
 // absorb the work, nobody blocks on the reply.
 func (rt *Runtime) mgrChargeUpdate(now sim.Time, caller int, r memspace.Region) {
 	m := rt.mgr
-	if m == nil || m.model.OpCost == 0 {
+	if m.model.OpCost == 0 {
 		return
 	}
 	m.spanbuf = m.dmap.SpansInto(r, m.spanbuf)
@@ -176,59 +142,53 @@ func (rt *Runtime) mgrChargeUpdate(now sim.Time, caller int, r memspace.Region) 
 	}
 }
 
-// mgrChargeQuery models a blocking coherence query (the transfer
-// planner's Missing/Holders round) against r's owning shards; p sleeps
-// until the slowest shard has answered. Runs inside per-dispatch procs, so
-// it decomposes into a fresh span slice instead of the shared scratch.
-func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
+// mgrChargeQuery models a blocking coherence query the master issues (the
+// transfer planner's Missing/Holders round) against r's owning shards; p
+// sleeps until the slowest shard has answered. Runs inside per-dispatch
+// procs, so it decomposes into a fresh span slice instead of the shared
+// scratch.
+func (rt *Runtime) mgrChargeQuery(p *sim.Proc, r memspace.Region) {
 	m := rt.mgr
-	if m == nil || m.model.OpCost == 0 {
+	if m.model.OpCost == 0 {
 		return
 	}
+	spans := m.dmap.Spans(r)
 	now := p.Now()
 	done := now
-	for _, sp := range m.dmap.Spans(r) {
-		if end := m.model.ServeFrom(now, caller, sp.Shard, opsStagePerSpan); end > done {
+	for _, sp := range spans {
+		if end := m.model.ServeFrom(now, 0, sp.Shard, opsStagePerSpan); end > done {
 			done = end
 		}
 	}
 	if done > now {
 		p.Sleep(sim.Duration(done - now))
 	}
-	// Make the routed metadata request visible on the fabric: one control
-	// datagram to each remote shard host involved.
-	if m.sharded {
-		rt.mgrRouteVisible(p, caller, r)
-	}
+	rt.mgrRouteVisible(p, spans)
 }
 
-// mgrRouteVisible emits one best-effort control datagram from the
-// caller's endpoint to each distinct remote shard host owning part of r.
-// State was already applied at the master image; the datagrams put the
-// metadata routing on the simulated wire where the fabric's counters (and
-// traces) can see it.
-func (rt *Runtime) mgrRouteVisible(p *sim.Proc, caller int, r memspace.Region) {
-	m := rt.mgr
+// mgrRouteVisible emits one best-effort control datagram from the master
+// to each distinct remote shard host owning one of spans. State was
+// already applied at the master image; the datagrams put the metadata
+// routing on the simulated wire where the fabric's counters (and traces)
+// can see it. Shards hosted on the master send nothing.
+func (rt *Runtime) mgrRouteVisible(p *sim.Proc, spans []dmgr.Span) {
 	prev := -1
-	for _, sp := range m.dmap.Spans(r) {
-		h := m.dmap.Host(sp.Shard)
-		if h == caller || h == prev || rt.nodeIsDead(h) {
+	for _, sp := range spans {
+		h := rt.mgr.dmap.Host(sp.Shard)
+		if h == 0 || h == prev || rt.nodeIsDead(h) {
 			continue
 		}
 		prev = h
-		rt.nodes[caller].ep.AMProbe(p, h, amDirOp, nil)
+		rt.master().ep.AMProbe(p, h, amDirOp, nil)
 	}
 }
 
 // mgrBrokerEndpoint returns the endpoint the push request for frag should
-// originate from: the owning shard's host in sharded mode (the manager
-// brokering the metadata), the master otherwise. Falls back to the master
-// when the shard is hosted there anyway or its host is dead.
+// originate from: the owning shard's host (the manager brokering the
+// metadata). Falls back to the master when the shard is hosted there
+// anyway — always, with one shard — or its host is dead.
 func (rt *Runtime) mgrBrokerEndpoint(frag memspace.Region) *nodeRT {
 	m := rt.mgr
-	if m == nil || !m.sharded {
-		return rt.master()
-	}
 	h := m.dmap.Host(m.dmap.Owner(frag.Addr))
 	if h == 0 || rt.nodeIsDead(h) {
 		return rt.master()
@@ -238,30 +198,30 @@ func (rt *Runtime) mgrBrokerEndpoint(frag memspace.Region) *nodeRT {
 }
 
 // mgrFailover rehosts every shard of a dead manager node onto the master
-// and charges the rebuild of its directory slice (one op per fragment the
-// slice indexes) to the shard's new queue. The slice contents themselves
-// are recovered by the producer-chain machinery (recoverLost), which the
-// caller runs right after — the directory state never lived only on the
-// dead host in the first place (state-immediate), so the rebuild cost is
-// time, not data.
+// and charges the rebuild of its directory slice (one op per span of the
+// master directory's fragments the shard owns) to the shard's new queue.
+// The slice contents themselves are recovered by the producer-chain
+// machinery (recoverLost), which the caller runs right after — the
+// directory state never lived only on the dead host in the first place
+// (state-immediate), so the rebuild cost is time, not data. The master
+// never dies, so with one shard there is nothing to rehost.
 func (rt *Runtime) mgrFailover(now sim.Time, dead int) {
 	m := rt.mgr
-	if m == nil || !m.sharded {
+	shards := m.dmap.HostedOn(dead)
+	if len(shards) == 0 {
 		return
 	}
-	for _, s := range m.dmap.HostedOn(dead) {
+	frags := rt.master().dir.Regions()
+	for _, s := range shards {
 		m.dmap.Reassign(s, 0)
 		rt.met.mgrFailovers.Inc()
-		if m.pdir != nil {
-			m.model.Serve(now, s, opsRebuildPerFrag*m.pdir.ShardFragments(s))
-		}
+		m.model.Serve(now, s, opsRebuildPerFrag*m.dmap.CountSpans(frags, s))
 	}
 }
 
 // registerDirOpHandlers installs the amDirOp counter handler on every
 // node's endpoint (any node can host a shard, and failover can move
-// shards). Sharded mode only — the handler set of the default runtime
-// stays byte-identical.
+// shards).
 func (rt *Runtime) registerDirOpHandlers() {
 	for _, n := range rt.nodes {
 		n.ep.Register(amDirOp, func(p *sim.Proc, am gasnet.AM) {

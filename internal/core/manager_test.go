@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,9 +23,9 @@ func shardedCfg(nodes, shards int, plan *faults.Plan) Config {
 
 func TestManagerShardsOneIsBitIdentical(t *testing.T) {
 	// ManagerShards: 1 with zero op cost is the documented no-op spelling:
-	// no manager model is built, and the whole run — results AND full
-	// stats, timing included — must be indistinguishable from the default
-	// config. This is the guarantee that keeps every fig5-13 replay and
+	// it builds the same 1-shard manager model the default config does,
+	// and the whole run — results AND full stats, timing included — must
+	// be indistinguishable from the default config. This is the guarantee that keeps every fig5-13 replay and
 	// exact-match test untouched by the sharding layer.
 	run := func(shards int) (Stats, []byte) {
 		cfg := faultedCfg(4, nil)
@@ -138,14 +139,20 @@ func TestShardedManagerSameSeedReplaysBitIdentically(t *testing.T) {
 }
 
 func TestShardedManagerBuildsCentralizedGraph(t *testing.T) {
-	// Every manager configuration uses the one dependence graph: sharding
-	// moves only the modeled service of each lookup. One batch enters the
-	// graph before any task runs, so the arcs it creates do not depend on
-	// timing and must be the same for every shard count, including for
-	// regions that straddle the 256KiB ownership blocks. Staging such a
-	// region needs each missing piece to have a holder (dmgr Missing).
-	run := func(shards int) ([]string, int, []byte) {
+	// Every manager configuration uses the one dependence graph and the
+	// one master directory: sharding moves only the modeled service of
+	// each lookup. One batch enters the graph before any task runs, so the
+	// arcs it creates do not depend on timing and must be the same for
+	// every shard count, including for regions that straddle the 256KiB
+	// ownership blocks. The master directory must come out of the run
+	// fragment for fragment as the centralized one: no cuts at ownership
+	// edges, the same holders and versions. Holders follow task placement,
+	// which service time moves, so the runs charge no service cost and
+	// use slave-to-slave transfers at every shard count.
+	run := func(shards int) ([]string, int, []byte, string) {
 		cfg := shardedCfg(8, shards, nil)
+		cfg.ManagerOpCost = 0
+		cfg.SlaveToSlave = true
 		rt := New(cfg)
 		var arcs []string
 		var data []byte
@@ -173,14 +180,22 @@ func TestShardedManagerBuildsCentralizedGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return arcs, rt.graph.Fragments(), data
+		var dir []string
+		d := rt.master().dir
+		for _, r := range d.Regions() {
+			dir = append(dir, fmt.Sprintf("%v v%d %v", r, d.Version(r), d.Holders(r)))
+		}
+		return arcs, rt.graph.Fragments(), data, strings.Join(dir, "\n")
 	}
-	ca, cf, cd := run(1)
+	ca, cf, cd, cdir := run(1)
 	if len(ca) == 0 {
 		t.Fatal("overlapping batch created no arcs")
 	}
 	for _, shards := range []int{2, 4} {
-		sa, sf, sd := run(shards)
+		sa, sf, sd, sdir := run(shards)
+		if sdir != cdir {
+			t.Fatalf("%d shards: master directory\n%s\ncentralized\n%s", shards, sdir, cdir)
+		}
 		if sf != cf {
 			t.Fatalf("%d shards: %d fragments, centralized %d", shards, sf, cf)
 		}

@@ -30,7 +30,8 @@ type rtMetrics struct {
 	deadNodes  *metrics.Counter
 
 	// Distributed managers (internal/dmgr); only move when the manager
-	// layer is armed (ManagerShards > 1 or ManagerOpCost > 0).
+	// layer charges or routes anything (ManagerShards > 1 or
+	// ManagerOpCost > 0).
 	mgrOps       *metrics.Counter
 	mgrRemoteOps *metrics.Counter
 	mgrFailovers *metrics.Counter

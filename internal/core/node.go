@@ -36,10 +36,10 @@ type nodeRT struct {
 	devs      []*gpusim.Device
 	ctxs      []*cuda.Context
 	caches    []*coherence.Cache
-	// dir is this image's coherence directory: a plain coherence.Directory
-	// everywhere except the sharded master, where New swaps in the
-	// partitioned dmgr.Directory.
-	dir directory
+	// dir is this image's coherence directory. The master's is the one
+	// directory of the runtime in every manager configuration; the shard
+	// model (mgrState) only prices and routes its operations.
+	dir *coherence.Directory
 	sch sched.Scheduler
 
 	places     int // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
@@ -454,7 +454,7 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 		}
 	}
 	n.dir.Produced(r, loc)
-	if n.isMaster() && n.rt.mgr != nil {
+	if n.isMaster() {
 		// Every version bump on the master image is a directory update
 		// served asynchronously by the owning shard's queue, issued from
 		// the producing node (the slave notifies the owning manager

@@ -54,8 +54,8 @@ type Runtime struct {
 	// Config.Faults is set; every fault path is gated on it).
 	ft *ftState
 
-	// mgr is the distributed-manager state (nil unless ManagerShards > 1
-	// or ManagerOpCost > 0; every sharded/charging path is gated on it).
+	// mgr is the manager layer's shard cost and routing model (one shard
+	// on the master unless ManagerShards > 1).
 	mgr *mgrState
 
 	// userErr records the first user-program error (malformed dependence
@@ -102,14 +102,8 @@ func New(cfg Config) *Runtime {
 		rt.clSch = sched.NewWithHooks(cfg.Scheduler, len(rt.nodes), rt.clusterScore, rt.clusterCostModel(), false,
 			rt.clusterCanRun, schedHooks(cfg.Metrics, "cluster"))
 	}
-	if cfg.ManagerShards > 1 || cfg.ManagerOpCost > 0 {
-		rt.mgr = newMgrState(cfg, rt.met)
-	}
-	if rt.mgr != nil && rt.mgr.sharded {
-		// The master image's directory becomes the partitioned one.
-		rt.master().dir = rt.mgr.pdir
-		rt.registerDirOpHandlers()
-	}
+	rt.mgr = newMgrState(cfg, rt.met)
+	rt.registerDirOpHandlers()
 	if cfg.Faults != nil {
 		rt.armFaultTolerance()
 	}
@@ -312,10 +306,8 @@ func (mc *MainCtx) Submit(def TaskDef) *task.Task {
 	if !ok {
 		return t
 	}
-	if mc.rt.mgr != nil {
-		one := [1]*task.Task{t}
-		mc.rt.mgrChargeSubmit(mc.p, one[:])
-	}
+	one := [1]*task.Task{t}
+	mc.rt.mgrChargeSubmit(mc.p, one[:])
 	if err := mc.rt.submit(t); err != nil {
 		mc.rt.fail(err)
 	}
@@ -469,12 +461,10 @@ func (rt *Runtime) collectStats() Stats {
 			s.RecoverySeconds = (rt.ft.recoverEnd - rt.ft.recoverStart).Seconds()
 		}
 	}
-	if rt.mgr != nil {
-		s.ManagerOps = int(rt.met.mgrOps.Value())
-		s.ManagerRemoteOps = int(rt.met.mgrRemoteOps.Value())
-		s.ManagerFailovers = int(rt.met.mgrFailovers.Value())
-		s.ManagerBrokered = int(rt.met.mgrBrokered.Value())
-	}
+	s.ManagerOps = int(rt.met.mgrOps.Value())
+	s.ManagerRemoteOps = int(rt.met.mgrRemoteOps.Value())
+	s.ManagerFailovers = int(rt.met.mgrFailovers.Value())
+	s.ManagerBrokered = int(rt.met.mgrBrokered.Value())
 	// Energy under the two-level power model: the whole cluster idles for
 	// the whole run, and each kernel adds its device's busy delta for its
 	// duration. Pure arithmetic over already-collected busy counters.

@@ -8,8 +8,11 @@ import (
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
-// Directory is a coherence directory partitioned across manager shards.
-// Shard s owns the fragments of the address blocks the Map assigns it;
+// Directory is a coherence directory partitioned across manager shards:
+// the replay subject of the benchmark's dmgr layer. The runtime does not
+// use it — its master keeps one coherence.Directory and prices operations
+// with Map and Model — and its fragment count per shard equals
+// Map.CountSpans over that one directory's fragments. Shard s owns the fragments of the address blocks the Map assigns it;
 // every operation decomposes its region into per-shard spans (address
 // order) and applies the single-directory operation to each owning shard.
 // Because shards partition the address space exactly and spans are walked

@@ -1,18 +1,22 @@
 // Package dmgr implements the distributed-manager layer: deterministic
-// shard ownership of the address space, a virtual-time service model for
-// manager operations, and a coherence directory partitioned across
-// manager shards.
+// shard ownership of the address space (Map) and a virtual-time service
+// model for manager operations (Model).
 //
-// The design splits "what happens" from "when it happens". All bookkeeping
-// state transitions (directory contents, dependence arcs, producer chains)
-// are computed exactly as in the centralized runtime, so results stay
-// checksum-exact between centralized and sharded runs. What the sharded
-// mode adds is a cost model: every directory or dependence operation is
-// served by the owning shard's FCFS serial queue, and callers that need
-// the answer sleep until their request's virtual completion time. A
-// single centralized manager is one queue that every operation serializes
-// through; N shards are N queues served in parallel — which is exactly
-// the scaling effect the weak-scaling experiment measures.
+// The design splits "what happens" from "when it happens". The runtime
+// keeps one dependence graph and one coherence directory on the master in
+// every configuration, so all bookkeeping state transitions (directory
+// contents, dependence arcs, producer chains) are exactly the centralized
+// ones and results stay checksum-exact between centralized and sharded
+// runs. Sharding is a cost and routing model over that one directory:
+// every directory or dependence operation is served by the owning shard's
+// FCFS serial queue, and callers that need the answer sleep until their
+// request's virtual completion time. A single centralized manager is the
+// 1-shard map, one queue that every operation serializes through; N
+// shards are N queues served in parallel — which is exactly the scaling
+// effect the weak-scaling experiment measures.
+//
+// Directory, a coherence directory partitioned across shards, is not used
+// by the runtime; it is the replay subject of the benchmark's dmgr layer.
 package dmgr
 
 import (
@@ -156,6 +160,23 @@ func (m *Map) SpansInto(r memspace.Region, out []Span) []Span {
 
 // Spans is SpansInto with a fresh slice.
 func (m *Map) Spans(r memspace.Region) []Span { return m.SpansInto(r, nil) }
+
+// CountSpans returns how many per-owner spans of the regions rs shard s
+// owns. Over a directory's fragments it is the number of pieces of shard
+// s's slice of that directory: what a failover rebuilds.
+func (m *Map) CountSpans(rs []memspace.Region, s int) int {
+	var spans []Span
+	n := 0
+	for _, r := range rs {
+		spans = m.SpansInto(r, spans)
+		for _, sp := range spans {
+			if sp.Shard == s {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Model charges virtual time for manager operations. Each shard is an
 // FCFS serial server: an operation arriving at virtual time now starts at

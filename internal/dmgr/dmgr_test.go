@@ -145,7 +145,8 @@ type dirAPI interface {
 // may cut the same byte set at ownership-block boundaries.
 func TestDirectoryEquivalence(t *testing.T) {
 	single := coherence.NewDirectory()
-	parted := NewDirectory(NewMap(4, 8))
+	m := NewMap(4, 8)
+	parted := NewDirectory(m)
 	dirs := []dirAPI{single, parted}
 	for _, d := range dirs {
 		d.TrackProducers(memspace.Host(0))
@@ -233,6 +234,15 @@ func TestDirectoryEquivalence(t *testing.T) {
 				for _, d := range dirs {
 					d.Init(lr, memspace.Host(0))
 				}
+			}
+		}
+		// A failover charges one rebuild op per owner span of the single
+		// directory's fragments: that must be each shard's own fragment
+		// count in the partitioned directory.
+		frags := single.Regions()
+		for s := 0; s < m.Shards(); s++ {
+			if a, b := m.CountSpans(frags, s), parted.ShardFragments(s); a != b {
+				t.Fatalf("step %d: shard %d: CountSpans = %d, ShardFragments = %d", step, s, a, b)
 			}
 		}
 		// Cross-check the full query surface on a random (often

@@ -132,6 +132,11 @@ func ParseRequest(body io.Reader) (Request, error) {
 	return r, nil
 }
 
+// maxStressTasks caps a stress request's grid (width x depth, defaults
+// filled in) at the full default grid, 100,000 x 10: one request must not
+// hold a worker for an unbounded run.
+const maxStressTasks = 1_000_000
+
 // Validate rejects requests that are malformed or that carry knobs the
 // named experiment would silently ignore — silent aliasing is worse than
 // an error, because two requests meaning the same run must share a cache
@@ -163,6 +168,11 @@ func (r Request) Validate() error {
 	}
 	if r.StressWidth < 0 || r.StressDepth < 0 || r.StressOverlap < 0 {
 		return fmt.Errorf("stress_* parameters must be >= 0")
+	}
+	// Compared by division: width*depth can overflow int.
+	w, d := bench.StressShape(bench.Options{Quick: r.Quick, StressWidth: r.StressWidth, StressDepth: r.StressDepth})
+	if w > maxStressTasks/d {
+		return fmt.Errorf("stress grid %d x %d exceeds %d tasks", w, d, maxStressTasks)
 	}
 	if p := r.FaultPlan; p != nil {
 		if p.DropRate < 0 || p.DropRate > 1 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -155,6 +156,22 @@ func TestValidateRejects(t *testing.T) {
 	for _, body := range bad {
 		if _, err := ParseRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("ParseRequest(%s) accepted a bad request", body)
+		}
+	}
+	// Stress grids are capped at 10^6 tasks; these are checked by Validate
+	// alone and never run.
+	stress := []struct {
+		width, depth int
+		ok           bool
+	}{
+		{1_000_000_000, 0, false},
+		{math.MaxInt / 2, 4, false}, // width*depth overflows int
+		{100_000, 10, true},         // exactly 10^6
+	}
+	for _, c := range stress {
+		r := Request{Experiment: "stress", StressWidth: c.width, StressDepth: c.depth}
+		if err := r.Validate(); (err == nil) != c.ok {
+			t.Errorf("Validate(width %d, depth %d) = %v, want ok=%v", c.width, c.depth, err, c.ok)
 		}
 	}
 }
