@@ -150,8 +150,11 @@ func (rt *Runtime) isRecoveryTask(t *task.Task) bool {
 func (rt *Runtime) spawnHeartbeat() {
 	ft := rt.ft
 	mgrs := rt.mgr.dmap.ManagerNodes() // includes node 0 (shard 0's host)
+	// live is liveMon's scratch, reused across calls: only one simulated
+	// process runs at a time and liveMon does not block.
+	live := make([]int, 0, len(mgrs))
 	liveMon := func(k int) int {
-		live := make([]int, 0, len(mgrs))
+		live = live[:0]
 		for _, mk := range mgrs {
 			if !ft.dead[mk] {
 				live = append(live, mk)

@@ -211,11 +211,14 @@ func (rt *Runtime) mgrFailover(now sim.Time, dead int) {
 	if len(shards) == 0 {
 		return
 	}
-	frags := rt.master().dir.Regions()
+	ops := make([]int, m.dmap.Shards())
+	for _, r := range rt.master().dir.Regions() {
+		m.spanOps(ops, r, opsRebuildPerFrag)
+	}
 	for _, s := range shards {
 		m.dmap.Reassign(s, 0)
 		rt.met.mgrFailovers.Inc()
-		m.model.Serve(now, s, opsRebuildPerFrag*m.dmap.CountSpans(frags, s))
+		m.model.Serve(now, s, ops[s])
 	}
 }
 

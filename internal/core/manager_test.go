@@ -25,8 +25,9 @@ func TestManagerShardsOneIsBitIdentical(t *testing.T) {
 	// ManagerShards: 1 with zero op cost is the documented no-op spelling:
 	// it builds the same 1-shard manager model the default config does,
 	// and the whole run — results AND full stats, timing included — must
-	// be indistinguishable from the default config. This is the guarantee that keeps every fig5-13 replay and
-	// exact-match test untouched by the sharding layer.
+	// be indistinguishable from the default config. This is the guarantee
+	// that keeps every fig5-13 replay and exact-match test untouched by
+	// the sharding layer.
 	run := func(shards int) (Stats, []byte) {
 		cfg := faultedCfg(4, nil)
 		cfg.ManagerShards = shards
@@ -144,15 +145,14 @@ func TestShardedManagerBuildsCentralizedGraph(t *testing.T) {
 	// each lookup. One batch enters the graph before any task runs, so the
 	// arcs it creates do not depend on timing and must be the same for
 	// every shard count, including for regions that straddle the 256KiB
-	// ownership blocks. The master directory must come out of the run
-	// fragment for fragment as the centralized one: no cuts at ownership
-	// edges, the same holders and versions. Holders follow task placement,
-	// which service time moves, so the runs charge no service cost and
-	// use slave-to-slave transfers at every shard count.
-	run := func(shards int) ([]string, int, []byte, string) {
+	// ownership blocks, with the service model armed or not. Without
+	// service cost the runs also take the same placements, so the master
+	// directory must come out of them fragment for fragment as the
+	// centralized one: no cuts at ownership edges, the same holders and
+	// versions. (Holders follow task placement, which service time moves.)
+	run := func(shards int, opCost time.Duration) ([]string, int, []byte, string) {
 		cfg := shardedCfg(8, shards, nil)
-		cfg.ManagerOpCost = 0
-		cfg.SlaveToSlave = true
+		cfg.ManagerOpCost = opCost
 		rt := New(cfg)
 		var arcs []string
 		var data []byte
@@ -187,23 +187,25 @@ func TestShardedManagerBuildsCentralizedGraph(t *testing.T) {
 		}
 		return arcs, rt.graph.Fragments(), data, strings.Join(dir, "\n")
 	}
-	ca, cf, cd, cdir := run(1)
-	if len(ca) == 0 {
-		t.Fatal("overlapping batch created no arcs")
-	}
-	for _, shards := range []int{2, 4} {
-		sa, sf, sd, sdir := run(shards)
-		if sdir != cdir {
-			t.Fatalf("%d shards: master directory\n%s\ncentralized\n%s", shards, sdir, cdir)
+	for _, opCost := range []time.Duration{2 * time.Microsecond, 0} {
+		ca, cf, cd, cdir := run(1, opCost)
+		if len(ca) == 0 {
+			t.Fatal("overlapping batch created no arcs")
 		}
-		if sf != cf {
-			t.Fatalf("%d shards: %d fragments, centralized %d", shards, sf, cf)
-		}
-		if fmt.Sprint(sa) != fmt.Sprint(ca) {
-			t.Fatalf("%d shards: arcs %v, centralized %v", shards, sa, ca)
-		}
-		if string(sd) != string(cd) {
-			t.Fatalf("%d shards: results differ from the centralized run", shards)
+		for _, shards := range []int{2, 4} {
+			sa, sf, sd, sdir := run(shards, opCost)
+			if sf != cf {
+				t.Fatalf("cost %v, %d shards: %d fragments, centralized %d", opCost, shards, sf, cf)
+			}
+			if fmt.Sprint(sa) != fmt.Sprint(ca) {
+				t.Fatalf("cost %v, %d shards: arcs %v, centralized %v", opCost, shards, sa, ca)
+			}
+			if string(sd) != string(cd) {
+				t.Fatalf("cost %v, %d shards: results differ from the centralized run", opCost, shards)
+			}
+			if opCost == 0 && sdir != cdir {
+				t.Fatalf("%d shards: master directory\n%s\ncentralized\n%s", shards, sdir, cdir)
+			}
 		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 // Directory is a coherence directory partitioned across manager shards:
 // the replay subject of the benchmark's dmgr layer. The runtime does not
 // use it — its master keeps one coherence.Directory and prices operations
-// with Map and Model — and its fragment count per shard equals
-// Map.CountSpans over that one directory's fragments. Shard s owns the fragments of the address blocks the Map assigns it;
-// every operation decomposes its region into per-shard spans (address
+// with Map and Model — and its fragment count per shard equals the
+// number of that one directory's fragment spans (Map.Spans) the shard
+// owns. Shard s owns the fragments of the address blocks the Map assigns
+// it; every operation decomposes its region into per-shard spans (address
 // order) and applies the single-directory operation to each owning shard.
 // Because shards partition the address space exactly and spans are walked
 // in address order, the reassembled behavior matches a single

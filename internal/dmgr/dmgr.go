@@ -161,23 +161,6 @@ func (m *Map) SpansInto(r memspace.Region, out []Span) []Span {
 // Spans is SpansInto with a fresh slice.
 func (m *Map) Spans(r memspace.Region) []Span { return m.SpansInto(r, nil) }
 
-// CountSpans returns how many per-owner spans of the regions rs shard s
-// owns. Over a directory's fragments it is the number of pieces of shard
-// s's slice of that directory: what a failover rebuilds.
-func (m *Map) CountSpans(rs []memspace.Region, s int) int {
-	var spans []Span
-	n := 0
-	for _, r := range rs {
-		spans = m.SpansInto(r, spans)
-		for _, sp := range spans {
-			if sp.Shard == s {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Model charges virtual time for manager operations. Each shard is an
 // FCFS serial server: an operation arriving at virtual time now starts at
 // max(now, busyUntil), takes OpCost, and pushes busyUntil forward. Remote
